@@ -1,10 +1,26 @@
 use std::fmt;
 use std::time::Duration;
 
-use octocache_octomap::TreeLayout;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
+
+/// The octree's node storage: one variant, the index-addressed node pool.
+/// Exists only for the repository benchmark's run stamp and reference
+/// builder ([`crate::pipeline::OctoMapSystem::with_layout`]); nothing
+/// selects a layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeLayout {
+    /// A `Vec`-backed node pool: `u32` indices, eight-child blocks and a
+    /// block free-list.
+    Arena,
+}
+
+impl fmt::Display for TreeLayout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("arena")
+    }
+}
 
 /// How incoming voxels are mapped to cache buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -155,7 +171,6 @@ pub struct CacheConfig {
     eviction_order: EvictionOrder,
     stall_timeout: Duration,
     backoff: BackoffPolicy,
-    tree_layout: Option<TreeLayout>,
     checkpoint_every: u64,
     checkpoint_generations: usize,
     journal_fsync: bool,
@@ -184,7 +199,6 @@ impl Default for CacheConfig {
             eviction_order: EvictionOrder::BucketSequential,
             stall_timeout: DEFAULT_STALL_TIMEOUT,
             backoff: BackoffPolicy::default(),
-            tree_layout: None,
             checkpoint_every: 64,
             checkpoint_generations: 3,
             journal_fsync: true,
@@ -281,22 +295,12 @@ impl CacheConfig {
         self.shed_deadline
     }
 
-    /// The explicit octree storage layout, if one was requested. `None`
-    /// means "use the ambient default" — see
-    /// [`CacheConfig::resolved_tree_layout`].
-    #[inline]
-    pub fn tree_layout(&self) -> Option<TreeLayout> {
-        self.tree_layout
-    }
-
-    /// The octree storage layout every backend built from this config will
-    /// use: the explicit choice when set, otherwise
-    /// [`TreeLayout::default_from_env`] (the `OCTO_TREE_LAYOUT` environment
-    /// variable, falling back to the pointer layout).
+    /// The octree storage layout every backend uses — always
+    /// [`TreeLayout::Arena`]. Exists only so the repository benchmark can
+    /// stamp the layout on its runs.
     #[inline]
     pub fn resolved_tree_layout(&self) -> TreeLayout {
-        self.tree_layout
-            .unwrap_or_else(TreeLayout::default_from_env)
+        TreeLayout::Arena
     }
 
     /// How many journaled scans may accumulate before
@@ -396,7 +400,6 @@ pub struct CacheConfigBuilder {
     eviction_order: EvictionOrder,
     stall_timeout: Duration,
     backoff: BackoffPolicy,
-    tree_layout: Option<TreeLayout>,
     checkpoint_every: u64,
     checkpoint_generations: usize,
     journal_fsync: bool,
@@ -418,7 +421,6 @@ impl CacheConfigBuilder {
             eviction_order: d.eviction_order,
             stall_timeout: d.stall_timeout,
             backoff: d.backoff,
-            tree_layout: d.tree_layout,
             checkpoint_every: d.checkpoint_every,
             checkpoint_generations: d.checkpoint_generations,
             journal_fsync: d.journal_fsync,
@@ -494,13 +496,6 @@ impl CacheConfigBuilder {
     /// [`CacheConfig::shed_deadline`].
     pub fn shed_deadline(&mut self, deadline: Duration) -> &mut Self {
         self.shed_deadline = Some(deadline);
-        self
-    }
-
-    /// Pins the octree storage layout for every backend built from this
-    /// config; see [`CacheConfig::resolved_tree_layout`].
-    pub fn tree_layout(&mut self, layout: TreeLayout) -> &mut Self {
-        self.tree_layout = Some(layout);
         self
     }
 
@@ -584,7 +579,6 @@ impl CacheConfigBuilder {
             eviction_order: self.eviction_order,
             stall_timeout: self.stall_timeout,
             backoff: self.backoff,
-            tree_layout: self.tree_layout,
             checkpoint_every: self.checkpoint_every,
             checkpoint_generations: self.checkpoint_generations,
             journal_fsync: self.journal_fsync,
@@ -727,24 +721,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(base.digest(), with_knobs.digest());
-    }
-
-    #[test]
-    fn tree_layout_round_trips_and_resolves() {
-        // No explicit layout: resolves to the ambient default.
-        let d = CacheConfig::default();
-        assert_eq!(d.tree_layout(), None);
-        assert_eq!(d.resolved_tree_layout(), TreeLayout::default_from_env());
-        // Explicit layout wins and survives serialisation.
-        let c = CacheConfig::builder()
-            .num_buckets(64)
-            .tree_layout(TreeLayout::Arena)
-            .build()
-            .unwrap();
-        assert_eq!(c.tree_layout(), Some(TreeLayout::Arena));
-        assert_eq!(c.resolved_tree_layout(), TreeLayout::Arena);
-        let back: CacheConfig = serde::json::from_str(&serde::json::to_string(&c)).unwrap();
-        assert_eq!(back.tree_layout(), Some(TreeLayout::Arena));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   generation), then replay journal records after its epoch through the
 //!   exact baseline insert path. The recovered map bit-matches (leaf
 //!   checksum) a never-crashed run over the durably recorded scans, on
-//!   every backend and both storage layouts — proven by the crash-torture
+//!   every backend — proven by the crash-torture
 //!   suite under deterministic [`IoFaultPlan`] kills, short writes and bit
 //!   flips.
 //!
@@ -69,7 +69,7 @@ use std::time::Instant;
 
 use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams, TreeLayout};
+use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventLog, PhaseHistograms, PhaseTimes, Recorder};
 
 use crate::cache::CacheStats;
@@ -233,8 +233,7 @@ impl RecoveryReport {
     }
 }
 
-/// Reconstructs the map persisted in `dir`, storing it in the ambient
-/// default layout ([`TreeLayout::default_from_env`]).
+/// Reconstructs the map persisted in `dir`.
 ///
 /// # Errors
 ///
@@ -244,25 +243,12 @@ impl RecoveryReport {
 /// generations and journal tails are *not* errors — they are skipped or
 /// truncated and reported in the [`RecoveryReport`].
 pub fn recover(dir: impl AsRef<Path>) -> Result<(OccupancyOcTree, RecoveryReport), DurableError> {
-    recover_with_layout(dir, TreeLayout::default_from_env())
-}
-
-/// As [`recover`], with an explicit storage layout for the recovered tree.
-///
-/// # Errors
-///
-/// See [`recover`].
-pub fn recover_with_layout(
-    dir: impl AsRef<Path>,
-    layout: TreeLayout,
-) -> Result<(OccupancyOcTree, RecoveryReport), DurableError> {
-    let (tree, report, _, _) = recover_internal(dir.as_ref(), layout)?;
+    let (tree, report, _, _) = recover_internal(dir.as_ref())?;
     Ok((tree, report))
 }
 
 fn recover_internal(
     dir: &Path,
-    layout: TreeLayout,
 ) -> Result<(OccupancyOcTree, RecoveryReport, JournalHeader, u64), DurableError> {
     let journal_path = dir.join(JOURNAL_FILE);
     if !journal_path.exists() {
@@ -278,13 +264,10 @@ fn recover_internal(
             reason: format!("invalid grid in journal header: {e}"),
         })?;
     let store = CheckpointStore::new(dir, 1);
-    let (loaded, checkpoints_skipped) = store.load_latest(layout);
+    let (loaded, checkpoints_skipped) = store.load_latest();
     let (mut tree, checkpoint_epoch) = match loaded {
         Some(c) => (c.tree, Some(c.epoch)),
-        None => (
-            OccupancyOcTree::with_layout(grid, header.params, layout),
-            None,
-        ),
+        None => (OccupancyOcTree::new(grid, header.params), None),
     };
     let replay_from = checkpoint_epoch.unwrap_or(0);
     let mut batch = insert::VoxelBatch::new();
@@ -445,9 +428,8 @@ impl DurableMap {
     /// Recovers the map persisted in `dir` and resumes durable mapping on
     /// it: the damaged journal tail (if any) is truncated away, appends
     /// continue at the recovered epoch, and the mapping backend is the
-    /// OctoMap baseline seeded with the recovered tree (in
-    /// `config.resolved_tree_layout()`), using the ray tracer recorded in
-    /// the journal header.
+    /// OctoMap baseline seeded with the recovered tree, using the ray tracer
+    /// recorded in the journal header.
     ///
     /// # Errors
     ///
@@ -458,8 +440,7 @@ impl DurableMap {
         config: &CacheConfig,
     ) -> Result<(DurableMap, RecoveryReport), DurableError> {
         let dir = dir.as_ref();
-        let layout = config.resolved_tree_layout();
-        let (tree, report, header, valid_bytes) = recover_internal(dir, layout)?;
+        let (tree, report, header, valid_bytes) = recover_internal(dir)?;
         let journal = Journal::open_truncated(
             dir.join(JOURNAL_FILE),
             valid_bytes,
@@ -918,6 +899,38 @@ mod tests {
         assert!(records[2].checkpoint_write_ns > 0);
         assert_eq!(records[2].checkpoint_epoch, 2);
         assert_eq!(records[0].checkpoint_epoch, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoints_do_not_arm_the_snapshot_publisher() {
+        let dir = temp_dir("unarmed");
+        let params = OccupancyParams::default();
+        let config = CacheConfig::builder().checkpoint_every(2).build().unwrap();
+        let serial = || crate::SerialOctoCache::new(grid(), params, config);
+        let mut map =
+            DurableMap::create(&dir, serial(), params, RayTracer::Standard, &config).unwrap();
+        let recorder = octocache_telemetry::SharedRecorder::new();
+        map.set_recorder(Box::new(recorder.clone()));
+        run_scans(&mut map, 0, 7);
+        assert_eq!(map.stats().checkpoints_written, 3);
+
+        // No reader ever asked for a handle, so no scan may pay for a
+        // republish — not even the ones after a checkpoint's snapshot.
+        let records = recorder.records();
+        assert_eq!(records.len(), 7);
+        for r in &records {
+            assert_eq!(r.snapshot_publish_ns, 0, "scan {} republished", r.seq);
+        }
+
+        // The durable map and its recovery equal a plain run of the scans.
+        let mut plain = serial();
+        run_scans(&mut plain, 0, 7);
+        let expected = Box::new(plain).take_tree().leaf_checksum();
+        assert_eq!(Box::new(map).take_tree().leaf_checksum(), expected);
+        let (tree, report) = recover(&dir).unwrap();
+        assert_eq!(report.checkpoint_epoch, Some(6));
+        assert_eq!(tree.leaf_checksum(), expected);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -238,10 +238,15 @@ pub trait MappingSystem {
     /// Backends without a publisher pay nothing until this is called.
     fn query_handle(&mut self) -> QueryHandle;
 
-    /// The current published [`MapSnapshot`] (arming the publisher on
-    /// first use, like [`MappingSystem::query_handle`]). Between
-    /// `insert_scan` calls the snapshot answers every query identically to
-    /// the backend's own locked query path.
+    /// The current map as a [`MapSnapshot`]. Between `insert_scan` calls
+    /// the snapshot answers every query identically to the backend's own
+    /// locked query path.
+    ///
+    /// Once [`MappingSystem::query_handle`] has armed the publisher this is
+    /// the latest published snapshot. Before that, [`Engine`] backends build
+    /// a one-off snapshot and leave the publisher unarmed, so taking a
+    /// snapshot (a durable checkpoint does) never turns on per-scan
+    /// republishing. This default arms the publisher.
     fn snapshot(&mut self) -> Arc<MapSnapshot> {
         self.query_handle().snapshot()
     }
@@ -776,6 +781,18 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
             .handle()
     }
 
+    fn snapshot(&mut self) -> Arc<MapSnapshot> {
+        match &self.publisher {
+            Some(p) => p.handle().snapshot(),
+            // A throwaway publisher stamps the one-off snapshot exactly as
+            // arming would (epoch 0, current scan count) without keeping
+            // `self.publisher` armed.
+            None => SnapshotPublisher::new(self.exec.snapshot_tree(), self.telemetry.scans())
+                .handle()
+                .snapshot(),
+        }
+    }
+
     fn stamp_durable(
         &mut self,
         journal_append_ns: u64,
@@ -850,12 +867,6 @@ pub(crate) fn stamp_cache_delta(metrics: &mut ScanMetrics, delta: &CacheStats) {
     metrics.cache_evictions = delta.evictions;
 }
 
-/// Stamps the tree-shape fields (resident bytes, storage layout).
-pub(crate) fn stamp_tree_shape(metrics: &mut ScanMetrics, memory_bytes: u64, layout: &str) {
-    metrics.memory_bytes = memory_bytes;
-    metrics.tree_layout = layout.to_string();
-}
-
 /// Overlays the cache's accumulated cells onto a read tree. Cells hold
 /// absolute log-odds — the same values eviction would write — so the
 /// overlaid tree answers exactly what the live cache→tree fall-through
@@ -879,7 +890,7 @@ pub(crate) fn merge_shards<'a>(
 ) -> OccupancyOcTree {
     let mut iter = shards.into_iter();
     let first = iter.next().expect("at least one shard");
-    let mut merged = OccupancyOcTree::with_layout(*first.grid(), *first.params(), first.layout());
+    let mut merged = OccupancyOcTree::new(*first.grid(), *first.params());
     for shard in std::iter::once(first).chain(iter) {
         merged
             .merge_disjoint_top_level(shard)

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams, TreeLayout};
+use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanMetrics};
 use parking_lot::{Mutex, MutexGuard};
 
@@ -161,9 +161,6 @@ pub struct ParallelExecutor {
     router: OctantRouter,
     grid: VoxelGrid,
     params: OccupancyParams,
-    /// Octree storage layout of every worker shard (and any replacement
-    /// or merge-target tree).
-    layout: TreeLayout,
     ray_tracer: RayTracer,
     batch: insert::VoxelBatch,
     /// Reusable per-shard partition buffers for batch routing. The previous
@@ -614,7 +611,6 @@ impl ParallelOctoCache {
         num_workers: usize,
     ) -> Self {
         let router = OctantRouter::new(num_workers, &grid);
-        let layout = config.resolved_tree_layout();
         let stall_timeout = config.stall_timeout();
         // Workers give a silent producer 4x the producer's own stall budget
         // before abandoning a mid-batch wait, so under a producer failure
@@ -631,9 +627,7 @@ impl ParallelOctoCache {
         let mut integrity = IntegrityState::default();
         let workers: Vec<Worker> = (0..num_workers)
             .map(|i| {
-                let tree = Arc::new(Mutex::new(OccupancyOcTree::with_layout(
-                    grid, params, layout,
-                )));
+                let tree = Arc::new(Mutex::new(OccupancyOcTree::new(grid, params)));
                 let shared = Arc::new(WorkerShared::default());
                 let capacity = QUEUE_CAPACITY;
                 #[cfg(any(test, feature = "fault-injection"))]
@@ -726,7 +720,6 @@ impl ParallelOctoCache {
             router,
             grid,
             params,
-            layout,
             ray_tracer,
             batch: insert::VoxelBatch::new(),
             route_bufs: vec![Vec::new(); num_workers],
@@ -1294,7 +1287,7 @@ impl ScanExecutor for ParallelExecutor {
         };
         engine::stamp_cache_delta(metrics, &cache_delta);
         engine::stamp_tree_delta(metrics, &tree_delta);
-        engine::stamp_tree_shape(metrics, memory_bytes, self.layout.name());
+        metrics.memory_bytes = memory_bytes;
 
         if let Some(buf) = self.cache.events_mut() {
             buf.drain();
@@ -1460,7 +1453,7 @@ impl ScanExecutor for ParallelExecutor {
     /// `try_lock` (matching the degraded [`MappingSystem::occupancy`] path —
     /// the map is already [`Integrity::Compromised`] by then).
     fn snapshot_tree(&self) -> OccupancyOcTree {
-        let mut merged = OccupancyOcTree::with_layout(self.grid, self.params, self.layout);
+        let mut merged = OccupancyOcTree::new(self.grid, self.params);
         for w in &self.workers {
             let guard = if w.failed.is_some() {
                 w.tree.try_lock()
@@ -1494,7 +1487,6 @@ impl ScanExecutor for ParallelExecutor {
         self.shutdown_workers();
         let grid = self.grid;
         let params = self.params;
-        let layout = self.layout;
         let workers = std::mem::take(&mut self.workers);
         drop(self); // drops the producers & our Arc clones
         let mut trees = workers.into_iter().map(|w| match Arc::try_unwrap(w.tree) {
@@ -1503,16 +1495,15 @@ impl ScanExecutor for ParallelExecutor {
             // its shard without risking a hang on its mutex. The map was
             // already flagged Compromised when the worker wedged.
             Err(arc) => match arc.try_lock() {
-                Some(mut guard) => std::mem::replace(
-                    &mut *guard,
-                    OccupancyOcTree::with_layout(grid, params, layout),
-                ),
-                None => OccupancyOcTree::with_layout(grid, params, layout),
+                Some(mut guard) => {
+                    std::mem::replace(&mut *guard, OccupancyOcTree::new(grid, params))
+                }
+                None => OccupancyOcTree::new(grid, params),
             },
         });
         let first = trees
             .next()
-            .unwrap_or_else(|| OccupancyOcTree::with_layout(grid, params, layout));
+            .unwrap_or_else(|| OccupancyOcTree::new(grid, params));
         trees.fold(first, |mut merged, tree| {
             merged
                 .merge_disjoint_top_level(&tree)

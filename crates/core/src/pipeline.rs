@@ -16,9 +16,10 @@ use std::time::Instant;
 
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams, TreeLayout};
+use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanMetrics};
 
+use crate::config::TreeLayout;
 use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
 /// The mapping-backend trait and per-scan report live with the lifecycle
 /// they describe, in [`crate::engine`]; re-exported here as their
@@ -72,29 +73,24 @@ impl OctoMapSystem {
 
     /// Creates the baseline with a chosen ray-tracing front-end.
     pub fn with_ray_tracer(grid: VoxelGrid, params: OccupancyParams, rt: RayTracer) -> Self {
-        Self::with_layout(grid, params, rt, TreeLayout::default_from_env())
+        Self::from_tree(OccupancyOcTree::new(grid, params), rt)
     }
 
-    /// Creates the baseline with a chosen ray tracer and octree storage
-    /// layout.
+    /// Same as [`OctoMapSystem::with_ray_tracer`]: there is one storage
+    /// layout. Exists only because the repository benchmark builds its
+    /// reference map through this name.
     pub fn with_layout(
         grid: VoxelGrid,
         params: OccupancyParams,
         rt: RayTracer,
-        layout: TreeLayout,
+        _layout: TreeLayout,
     ) -> Self {
-        Engine::from_executor(BaselineExecutor {
-            tree: OccupancyOcTree::with_layout(grid, params, layout),
-            ray_tracer: rt,
-            batch: insert::VoxelBatch::new(),
-            event_sink: None,
-            events: None,
-        })
+        Self::with_ray_tracer(grid, params, rt)
     }
 
     /// Resumes the baseline on an existing octree — e.g. one reconstructed
     /// by crash recovery ([`crate::durable::recover`]) — keeping the tree's
-    /// grid, params and storage layout. Telemetry restarts from scan 0;
+    /// grid and params. Telemetry restarts from scan 0;
     /// durable scan epochs are tracked by [`crate::durable::DurableMap`].
     pub fn from_tree(tree: OccupancyOcTree, rt: RayTracer) -> Self {
         Engine::from_executor(BaselineExecutor {
@@ -175,11 +171,7 @@ impl ScanExecutor for BaselineExecutor {
         };
         metrics.observations = observations as u64;
         engine::stamp_tree_delta(metrics, &self.tree.stats().snapshot().since(&tree_before));
-        engine::stamp_tree_shape(
-            metrics,
-            self.tree.memory_usage() as u64,
-            self.tree.layout().name(),
-        );
+        metrics.memory_bytes = self.tree.memory_usage() as u64;
         Ok(ScanOutput {
             cache_hits: 0,
             octree_updates: observations,

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams, TreeLayout};
+use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventKind, EventLog, EventSink, ScanMetrics};
 
 use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
@@ -71,28 +71,10 @@ impl ShardedOctoMap {
         num_shards: usize,
         ray_tracer: RayTracer,
     ) -> Self {
-        Self::with_layout(
-            grid,
-            params,
-            num_shards,
-            ray_tracer,
-            TreeLayout::default_from_env(),
-        )
-    }
-
-    /// As [`ShardedOctoMap::with_ray_tracer`] with an explicit octree
-    /// storage layout for every shard (and the merged tree).
-    pub fn with_layout(
-        grid: VoxelGrid,
-        params: OccupancyParams,
-        num_shards: usize,
-        ray_tracer: RayTracer,
-        layout: TreeLayout,
-    ) -> Self {
         let router = OctantRouter::new(num_shards, &grid);
         Engine::from_executor(ShardedExecutor {
             shards: (0..num_shards)
-                .map(|_| OccupancyOcTree::with_layout(grid, params, layout))
+                .map(|_| OccupancyOcTree::new(grid, params))
                 .collect(),
             router,
             grid,
@@ -229,11 +211,7 @@ impl ScanExecutor for ShardedExecutor {
         let tree_after = self.summed_tree_stats();
         engine::stamp_tree_delta(metrics, &tree_after.since(&self.last_tree_stats));
         self.last_tree_stats = tree_after;
-        engine::stamp_tree_shape(
-            metrics,
-            self.shards.iter().map(|s| s.memory_usage() as u64).sum(),
-            self.shards[0].layout().name(),
-        );
+        metrics.memory_bytes = self.shards.iter().map(|s| s.memory_usage() as u64).sum();
         // This scan's per-shard routing: the same shape the N-worker
         // parallel backend reports, so trace analysis can compare the two
         // parallelisation strategies' balance directly.

@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
-use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap, TreeLayout};
+use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
 use octocache_geom::VoxelGrid;
 use octocache_octomap::{OccupancyOcTree, OccupancyParams};
 
@@ -48,16 +48,6 @@ pub fn cache() -> CacheConfig {
         .unwrap()
 }
 
-/// As [`cache`], pinned to an explicit octree storage layout.
-pub fn cache_with(layout: TreeLayout) -> CacheConfig {
-    CacheConfig::builder()
-        .num_buckets(1 << 7)
-        .tau(2)
-        .tree_layout(layout)
-        .build()
-        .unwrap()
-}
-
 /// Replays `scans` through `backend` and returns the flushed tree.
 pub fn build_tree(mut backend: Box<dyn MappingSystem>, scans: &[Scan]) -> OccupancyOcTree {
     for scan in scans {
@@ -69,70 +59,32 @@ pub fn build_tree(mut backend: Box<dyn MappingSystem>, scans: &[Scan]) -> Occupa
     backend.take_tree()
 }
 
-/// Every backend under test, with its display label.
+/// Every cache-backed and sharded backend under test (the OctoMap
+/// baseline they are compared against excluded), with its display label.
 pub fn backends() -> Vec<(String, Box<dyn MappingSystem>)> {
-    let params = OccupancyParams::default();
-    let mut v: Vec<(String, Box<dyn MappingSystem>)> = vec![
-        (
-            "serial".to_string(),
-            Box::new(SerialOctoCache::new(grid(), params, cache())),
-        ),
-        (
-            "sharded-x8".to_string(),
-            Box::new(ShardedOctoMap::new(grid(), params, 8)),
-        ),
-    ];
-    for n in [1usize, 2, 4, 8] {
-        v.push((
-            format!("parallel-x{n}"),
-            Box::new(ParallelOctoCache::with_workers(
-                grid(),
-                params,
-                cache(),
-                RayTracer::Standard,
-                n,
-            )),
-        ));
-    }
-    v
+    all_backends(grid())
+        .into_iter()
+        .filter(|(label, _)| label != "octomap")
+        .collect()
 }
 
-/// Every backend pinned to an explicit octree storage layout.
-pub fn backends_with(layout: TreeLayout) -> Vec<(String, Box<dyn MappingSystem>)> {
-    backends_with_grid(grid(), layout)
-}
-
-/// Every backend over an explicit voxel grid and octree storage layout
-/// (the golden-checksum suite replays dataset-scale scenarios that need a
-/// larger grid than the default scenario one).
-pub fn backends_with_grid(
-    grid: VoxelGrid,
-    layout: TreeLayout,
-) -> Vec<(String, Box<dyn MappingSystem>)> {
+/// Every backend, the OctoMap baseline included, over an explicit voxel
+/// grid (the golden-checksum suite replays dataset-scale scenarios that
+/// need a larger grid than the default scenario one).
+pub fn all_backends(grid: VoxelGrid) -> Vec<(String, Box<dyn MappingSystem>)> {
     let params = OccupancyParams::default();
     let mut v: Vec<(String, Box<dyn MappingSystem>)> = vec![
         (
             "octomap".to_string(),
-            Box::new(OctoMapSystem::with_layout(
-                grid,
-                params,
-                RayTracer::Standard,
-                layout,
-            )),
+            Box::new(OctoMapSystem::new(grid, params)),
         ),
         (
             "serial".to_string(),
-            Box::new(SerialOctoCache::new(grid, params, cache_with(layout))),
+            Box::new(SerialOctoCache::new(grid, params, cache())),
         ),
         (
             "sharded-x8".to_string(),
-            Box::new(ShardedOctoMap::with_layout(
-                grid,
-                params,
-                8,
-                RayTracer::Standard,
-                layout,
-            )),
+            Box::new(ShardedOctoMap::new(grid, params, 8)),
         ),
     ];
     for n in [1usize, 2, 4, 8] {
@@ -141,7 +93,7 @@ pub fn backends_with_grid(
             Box::new(ParallelOctoCache::with_workers(
                 grid,
                 params,
-                cache_with(layout),
+                cache(),
                 RayTracer::Standard,
                 n,
             )),

@@ -5,8 +5,8 @@
 //! backend under a deterministic [`IoFaultPlan`] (process kills at each
 //! [`KillPoint`], short writes, bit flips), then [`durable::recover`] and
 //! assert the recovered tree bit-matches the reference prefix at the
-//! reported `final_epoch`. The matrix sweeps all four backends, both octree
-//! storage layouts, every kill point and several operation indices (journal
+//! reported `final_epoch`. The matrix sweeps all four backends, every kill
+//! point and several operation indices (journal
 //! appends, checkpoint file writes and manifest publications all land on
 //! distinct op slots), plus seed-derived plans (`OCTO_FAULT_SEED` shifts
 //! the sweep in CI).
@@ -17,11 +17,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use common::{cache_with, grid, scenario, Scan};
+use common::{cache, grid, scenario, Scan};
 use octocache::durable::{self, DurableError, DurableMap, IoFaultPlan, KillPoint};
 use octocache::fault::PipelineError;
 use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
-use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap, TreeLayout};
+use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
 use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
 
 const MAX_RANGE: f64 = 40.0;
@@ -48,11 +48,8 @@ fn durable_config() -> CacheConfig {
 
 /// `prefix[n]` = leaf checksum of the baseline map after the first `n`
 /// scans, computed through the exact insert path recovery replays.
-/// Layout-independent (the leaf checksum folds keys and values only), so
-/// one prefix table serves both storage layouts.
 fn prefix_checksums(scans: &[Scan], ray_tracer: RayTracer) -> Vec<u64> {
-    let mut tree =
-        OccupancyOcTree::with_layout(grid(), OccupancyParams::default(), TreeLayout::Pointer);
+    let mut tree = OccupancyOcTree::new(grid(), OccupancyParams::default());
     let mut batch = insert::VoxelBatch::new();
     let mut out = vec![tree.leaf_checksum()];
     for scan in scans {
@@ -79,38 +76,27 @@ fn prefix_checksums(scans: &[Scan], ray_tracer: RayTracer) -> Vec<u64> {
 /// The backend roster tortured by the full matrix (one representative per
 /// architecture; the differential suite already proves the worker-count
 /// sweep equivalent).
-fn torture_backends(layout: TreeLayout) -> Vec<(String, Box<dyn MappingSystem>)> {
+fn torture_backends() -> Vec<(String, Box<dyn MappingSystem>)> {
     let params = OccupancyParams::default();
     vec![
         (
             "octomap".to_string(),
-            Box::new(OctoMapSystem::with_layout(
-                grid(),
-                params,
-                RayTracer::Standard,
-                layout,
-            )) as Box<dyn MappingSystem>,
+            Box::new(OctoMapSystem::new(grid(), params)) as Box<dyn MappingSystem>,
         ),
         (
             "serial".to_string(),
-            Box::new(SerialOctoCache::new(grid(), params, cache_with(layout))),
+            Box::new(SerialOctoCache::new(grid(), params, cache())),
         ),
         (
             "sharded-x4".to_string(),
-            Box::new(ShardedOctoMap::with_layout(
-                grid(),
-                params,
-                4,
-                RayTracer::Standard,
-                layout,
-            )),
+            Box::new(ShardedOctoMap::new(grid(), params, 4)),
         ),
         (
             "parallel-x2".to_string(),
             Box::new(ParallelOctoCache::with_workers(
                 grid(),
                 params,
-                cache_with(layout),
+                cache(),
                 RayTracer::Standard,
                 2,
             )),
@@ -165,12 +151,11 @@ fn run_with_plan(
 /// the reported epoch. Returns the report for extra assertions.
 fn assert_recovers_to_prefix(
     dir: &PathBuf,
-    layout: TreeLayout,
     prefix: &[u64],
     label: &str,
 ) -> durable::RecoveryReport {
-    let (tree, report) = durable::recover_with_layout(dir, layout)
-        .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+    let (tree, report) =
+        durable::recover(dir).unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
     let n = report.final_epoch as usize;
     assert!(
         n < prefix.len(),
@@ -198,22 +183,20 @@ fn kill_matrix_recovers_to_durable_prefix_on_all_backends() {
     // 1,2,3, checkpoint (file + manifest) at 4,5, appends at 6,7,8, ...
     // so the swept ops hit an early append, a manifest write, and a
     // mid-run append.
-    for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-        for point in KillPoint::ALL {
-            for op in [1u64, 5, 8] {
-                for (name, backend) in torture_backends(layout) {
-                    let label = format!("{name}/{layout:?}/kill:{point}@{op}");
-                    let dir = temp_dir("kill");
-                    let plan = IoFaultPlan {
-                        kill: Some((op, point)),
-                        flip: None,
-                    };
-                    let end = run_with_plan(&dir, backend, RayTracer::Standard, plan, &scans);
-                    assert_eq!(end, RunEnd::Crashed, "{label}: kill never fired");
-                    let report = assert_recovers_to_prefix(&dir, layout, &prefix, &label);
-                    assert!(report.final_epoch <= scans.len() as u64, "{label}");
-                    fs::remove_dir_all(&dir).unwrap();
-                }
+    for point in KillPoint::ALL {
+        for op in [1u64, 5, 8] {
+            for (name, backend) in torture_backends() {
+                let label = format!("{name}/kill:{point}@{op}");
+                let dir = temp_dir("kill");
+                let plan = IoFaultPlan {
+                    kill: Some((op, point)),
+                    flip: None,
+                };
+                let end = run_with_plan(&dir, backend, RayTracer::Standard, plan, &scans);
+                assert_eq!(end, RunEnd::Crashed, "{label}: kill never fired");
+                let report = assert_recovers_to_prefix(&dir, &prefix, &label);
+                assert!(report.final_epoch <= scans.len() as u64, "{label}");
+                fs::remove_dir_all(&dir).unwrap();
             }
         }
     }
@@ -233,7 +216,7 @@ fn mid_write_kill_leaves_torn_tail_that_truncates_cleanly() {
     let backend = Box::new(OctoMapSystem::new(grid(), OccupancyParams::default()));
     let end = run_with_plan(&dir, backend, RayTracer::Standard, plan, &scans);
     assert_eq!(end, RunEnd::Crashed);
-    let report = assert_recovers_to_prefix(&dir, TreeLayout::Pointer, &prefix, "torn-tail");
+    let report = assert_recovers_to_prefix(&dir, &prefix, "torn-tail");
     assert_eq!(report.final_epoch, 0, "half a frame must not count");
     assert!(report.tail_dropped_bytes > 0, "torn bytes must be reported");
     assert!(!report.is_clean());
@@ -260,7 +243,7 @@ fn bit_flips_recover_to_durable_prefix() {
                     Box::new(SerialOctoCache::new(
                         grid(),
                         OccupancyParams::default(),
-                        cache_with(TreeLayout::Pointer),
+                        cache(),
                     )),
                 ),
             ] {
@@ -273,7 +256,7 @@ fn bit_flips_recover_to_durable_prefix() {
                 // No seal: a final clean checkpoint would mask the damage.
                 let end = run_with_plan(&dir, backend, RayTracer::Standard, plan, &scans);
                 assert_eq!(end, RunEnd::Completed, "{label}: flips never kill");
-                assert_recovers_to_prefix(&dir, TreeLayout::Pointer, &prefix, &label);
+                assert_recovers_to_prefix(&dir, &prefix, &label);
                 fs::remove_dir_all(&dir).unwrap();
             }
         }
@@ -304,7 +287,7 @@ fn corrupted_newest_checkpoint_falls_back_a_generation() {
     bytes[mid] ^= 0x40;
     fs::write(&newest, &bytes).unwrap();
 
-    let report = assert_recovers_to_prefix(&dir, TreeLayout::Pointer, &prefix, "ckpt-rot");
+    let report = assert_recovers_to_prefix(&dir, &prefix, "ckpt-rot");
     assert!(
         !report.checkpoints_skipped.is_empty(),
         "the rotted generation must be reported as skipped: {report:?}"
@@ -334,7 +317,7 @@ fn corrupt_manifest_falls_back_to_directory_scan() {
     let manifest = durable::checkpoint_dir(&dir).join("MANIFEST");
     fs::write(&manifest, b"not a manifest at all").unwrap();
 
-    let report = assert_recovers_to_prefix(&dir, TreeLayout::Pointer, &prefix, "manifest-rot");
+    let report = assert_recovers_to_prefix(&dir, &prefix, "manifest-rot");
     assert_eq!(
         report.checkpoint_epoch,
         Some(9),
@@ -349,31 +332,29 @@ fn clean_sealed_runs_recover_as_noop_on_all_backends() {
     let scans = scenario(5);
     let prefix = prefix_checksums(&scans, RayTracer::Standard);
     let params = OccupancyParams::default();
-    for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-        for (name, backend) in torture_backends(layout) {
-            let label = format!("{name}/{layout:?}/clean");
-            let dir = temp_dir("clean");
-            let mut map = DurableMap::create(
-                &dir,
-                backend,
-                params,
-                RayTracer::Standard,
-                &durable_config(),
-            )
-            .unwrap();
-            for scan in &scans {
-                map.insert_scan(scan.origin, &scan.points, MAX_RANGE)
-                    .unwrap();
-            }
-            map.seal().unwrap();
-            drop(map);
-            let report = assert_recovers_to_prefix(&dir, layout, &prefix, &label);
-            assert!(report.is_clean(), "{label}: {report:?}");
-            assert_eq!(report.records_replayed, 0, "{label}: seal leaves no tail");
-            assert_eq!(report.tail_dropped_bytes, 0, "{label}");
-            assert_eq!(report.checkpoint_epoch, Some(scans.len() as u64), "{label}");
-            fs::remove_dir_all(&dir).unwrap();
+    for (name, backend) in torture_backends() {
+        let label = format!("{name}/clean");
+        let dir = temp_dir("clean");
+        let mut map = DurableMap::create(
+            &dir,
+            backend,
+            params,
+            RayTracer::Standard,
+            &durable_config(),
+        )
+        .unwrap();
+        for scan in &scans {
+            map.insert_scan(scan.origin, &scan.points, MAX_RANGE)
+                .unwrap();
         }
+        map.seal().unwrap();
+        drop(map);
+        let report = assert_recovers_to_prefix(&dir, &prefix, &label);
+        assert!(report.is_clean(), "{label}: {report:?}");
+        assert_eq!(report.records_replayed, 0, "{label}: seal leaves no tail");
+        assert_eq!(report.tail_dropped_bytes, 0, "{label}");
+        assert_eq!(report.checkpoint_epoch, Some(scans.len() as u64), "{label}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -381,38 +362,32 @@ fn clean_sealed_runs_recover_as_noop_on_all_backends() {
 fn resume_after_crash_completes_to_crash_free_reference() {
     let scans = scenario(6);
     let prefix = prefix_checksums(&scans, RayTracer::Standard);
-    for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-        for (name, backend) in torture_backends(layout) {
-            let label = format!("{name}/{layout:?}/resume");
-            let dir = temp_dir("resume");
-            let plan = IoFaultPlan {
-                kill: Some((4, KillPoint::AfterWrite)),
-                flip: None,
-            };
-            let end = run_with_plan(&dir, backend, RayTracer::Standard, plan, &scans);
-            assert_eq!(end, RunEnd::Crashed, "{label}");
+    for (name, backend) in torture_backends() {
+        let label = format!("{name}/resume");
+        let dir = temp_dir("resume");
+        let plan = IoFaultPlan {
+            kill: Some((4, KillPoint::AfterWrite)),
+            flip: None,
+        };
+        let end = run_with_plan(&dir, backend, RayTracer::Standard, plan, &scans);
+        assert_eq!(end, RunEnd::Crashed, "{label}");
 
-            let config = CacheConfig::builder()
-                .checkpoint_every(3)
-                .tree_layout(layout)
-                .build()
+        let config = CacheConfig::builder().checkpoint_every(3).build().unwrap();
+        let (mut resumed, report) = DurableMap::resume(&dir, &config).unwrap();
+        let done = report.final_epoch as usize;
+        assert!(done < scans.len(), "{label}: crash fired before the end");
+        for scan in &scans[done..] {
+            resumed
+                .insert_scan(scan.origin, &scan.points, MAX_RANGE)
                 .unwrap();
-            let (mut resumed, report) = DurableMap::resume(&dir, &config).unwrap();
-            let done = report.final_epoch as usize;
-            assert!(done < scans.len(), "{label}: crash fired before the end");
-            for scan in &scans[done..] {
-                resumed
-                    .insert_scan(scan.origin, &scan.points, MAX_RANGE)
-                    .unwrap();
-            }
-            resumed.seal().unwrap();
-            assert_eq!(resumed.epoch(), scans.len() as u64, "{label}");
-            drop(resumed);
-
-            let report = assert_recovers_to_prefix(&dir, layout, &prefix, &label);
-            assert_eq!(report.final_epoch, scans.len() as u64, "{label}");
-            fs::remove_dir_all(&dir).unwrap();
         }
+        resumed.seal().unwrap();
+        assert_eq!(resumed.epoch(), scans.len() as u64, "{label}");
+        drop(resumed);
+
+        let report = assert_recovers_to_prefix(&dir, &prefix, &label);
+        assert_eq!(report.final_epoch, scans.len() as u64, "{label}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -424,11 +399,10 @@ fn dedup_ray_tracer_replays_through_dedup_path() {
     for (name, backend) in [
         (
             "octomap-rt",
-            Box::new(OctoMapSystem::with_layout(
+            Box::new(OctoMapSystem::with_ray_tracer(
                 grid(),
                 params,
                 RayTracer::Dedup,
-                TreeLayout::Pointer,
             )) as Box<dyn MappingSystem>,
         ),
         (
@@ -436,7 +410,7 @@ fn dedup_ray_tracer_replays_through_dedup_path() {
             Box::new(SerialOctoCache::with_ray_tracer(
                 grid(),
                 params,
-                cache_with(TreeLayout::Pointer),
+                cache(),
                 RayTracer::Dedup,
             )),
         ),
@@ -449,7 +423,7 @@ fn dedup_ray_tracer_replays_through_dedup_path() {
         };
         let end = run_with_plan(&dir, backend, RayTracer::Dedup, plan, &scans);
         assert_eq!(end, RunEnd::Crashed, "{label}");
-        let report = assert_recovers_to_prefix(&dir, TreeLayout::Pointer, &prefix, &label);
+        let report = assert_recovers_to_prefix(&dir, &prefix, &label);
         assert_eq!(report.ray_tracer, RayTracer::Dedup, "{label}");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,7 +1,6 @@
-//! Golden-checksum regression fixtures: every backend × octree layout
-//! replays the shared seeded scenarios (blob-walk and the three tiny
+//! Golden-checksum regression fixtures: every backend replays the shared seeded scenarios (blob-walk and the three tiny
 //! synthetic datasets) and the resulting [`leaf_checksum`] — an FNV-1a
-//! digest over the sorted leaf set, independent of storage layout and
+//! digest over the sorted leaf set, independent of node placement and
 //! insertion order — must equal the value committed in
 //! `tests/golden/checksums.txt`.
 //!
@@ -9,6 +8,9 @@
 //! suite bit-verifies the unified scan-lifecycle engine (and any future
 //! refactor) against history: a single flipped voxel anywhere in the
 //! ray-tracing → cache → eviction → octree path changes the digest.
+//!
+//! Every row names the `arena` storage layout so that the rows stay
+//! byte-for-byte the ones that were checked against a second layout.
 //!
 //! Regenerate (after an *intentional* mapping-behaviour change only) with:
 //!
@@ -22,7 +24,6 @@ mod common;
 
 use std::fmt::Write as _;
 
-use octocache::TreeLayout;
 use octocache_datasets::{scenario, Dataset, DatasetConfig, Scan};
 use octocache_geom::VoxelGrid;
 
@@ -44,7 +45,7 @@ struct Source {
 fn sources() -> Vec<Source> {
     // Dataset scans span ±50 m; 0.4 m leaves over a 16-level grid cover
     // that with margin to spare (coarse enough to keep the full
-    // source × backend × layout matrix inside a debug-build test budget).
+    // source × backend matrix inside a debug-build test budget).
     let dataset_grid = VoxelGrid::new(0.4, 16).unwrap();
     let mut v: Vec<Source> = vec![
         Source {
@@ -72,12 +73,12 @@ fn sources() -> Vec<Source> {
     v
 }
 
-/// Renders one layout's source × backend checksum lines in fixture
-/// format: one `source backend layout 0x<checksum>` line per combination.
-fn layout_table(layout: TreeLayout) -> String {
+/// Renders the source × backend checksum lines in fixture format: one
+/// `source backend arena 0x<checksum>` line per combination.
+fn checksum_table() -> String {
     let mut out = String::new();
     for src in sources() {
-        for (label, mut backend) in common::backends_with_grid(src.grid, layout) {
+        for (label, mut backend) in common::all_backends(src.grid) {
             for scan in &src.scans {
                 backend
                     .insert_scan(scan.origin, &scan.points, src.max_range)
@@ -85,28 +86,10 @@ fn layout_table(layout: TreeLayout) -> String {
             }
             backend.finish();
             let checksum = backend.take_tree().leaf_checksum();
-            writeln!(
-                out,
-                "{} {} {} {:#018x}",
-                src.name,
-                label,
-                layout.name(),
-                checksum
-            )
-            .unwrap();
+            writeln!(out, "{} {} arena {:#018x}", src.name, label, checksum).unwrap();
         }
     }
     out
-}
-
-/// The full fixture table, the two layouts replayed concurrently.
-fn checksum_table() -> String {
-    let (pointer, arena) = std::thread::scope(|scope| {
-        let arena = scope.spawn(|| layout_table(TreeLayout::Arena));
-        let pointer = layout_table(TreeLayout::Pointer);
-        (pointer, arena.join().expect("arena table"))
-    });
-    pointer + &arena
 }
 
 #[test]

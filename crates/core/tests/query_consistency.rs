@@ -1,6 +1,6 @@
 //! Snapshot query consistency battery: a published [`MapSnapshot`] must
 //! answer every query kind exactly like the locked live tree it was taken
-//! from, on every backend, in every storage layout, at every worker count.
+//! from, on every backend, at every worker count.
 //!
 //! Three angles of attack, all over the shared seeded scenario generator
 //! (`tests/common`):
@@ -13,7 +13,7 @@
 //!    `search_at_level` / box queries / `batch_occupancy` all match the
 //!    flushed tree returned by `take_tree` query-for-query.
 //! 3. **Cross-backend agreement** — the snapshot answer set (and the leaf
-//!    checksum) is bit-identical across all seven backends × both layouts,
+//!    checksum) is bit-identical across all seven backends,
 //!    so a reader can switch backends without observing any difference.
 //!
 //! `OCTO_TEST_ITERS` scales the scenario count, as in the differential
@@ -21,17 +21,13 @@
 
 mod common;
 
-use common::{backends_with, grid, num_scenarios, scenario, Scan};
+use common::{all_backends, grid, num_scenarios, scenario, Scan};
 use octocache::pipeline::MappingSystem;
-use octocache::{MapSnapshot, TreeLayout};
+use octocache::MapSnapshot;
 use octocache_geom::{Aabb, Point3, VoxelKey};
 use octocache_octomap::query as tree_query;
 use octocache_octomap::{LeafEntry, OccupancyOcTree};
 use std::sync::Arc;
-
-fn layouts() -> [TreeLayout; 2] {
-    [TreeLayout::Pointer, TreeLayout::Arena]
-}
 
 /// Occupancy options compared bit-for-bit: `Some(0.0)` vs `Some(-0.0)` or
 /// NaN payload drift would slip through a float `==`.
@@ -116,39 +112,37 @@ fn sorted_leaves(mut leaves: Vec<LeafEntry>) -> Vec<(VoxelKey, u8, u32)> {
 }
 
 /// Angle 1: after every scan the published snapshot equals the live locked
-/// map at that scan boundary, for every backend × layout.
+/// map at that scan boundary, for every backend.
 #[test]
 fn snapshot_tracks_live_map_at_every_scan_boundary() {
     for seed in 0..num_scenarios() {
         let scans = scenario(seed * 3571 + 5);
         let probes = probe_keys(&scans);
-        for layout in layouts() {
-            for (label, mut backend) in backends_with(layout) {
-                let handle = backend.query_handle();
-                assert_eq!(handle.epoch(), 0, "{label}: unarmed handle not at epoch 0");
-                for (i, scan) in scans.iter().enumerate() {
-                    backend
-                        .insert_scan(scan.origin, &scan.points, 40.0)
-                        .expect("scan within grid");
-                    let snap = handle.snapshot();
+        for (label, mut backend) in all_backends(grid()) {
+            let handle = backend.query_handle();
+            assert_eq!(handle.epoch(), 0, "{label}: unarmed handle not at epoch 0");
+            for (i, scan) in scans.iter().enumerate() {
+                backend
+                    .insert_scan(scan.origin, &scan.points, 40.0)
+                    .expect("scan within grid");
+                let snap = handle.snapshot();
+                assert_eq!(
+                    snap.scans(),
+                    i as u64 + 1,
+                    "seed {seed}, {label}: snapshot scan count lags"
+                );
+                assert_eq!(
+                    snap.epoch(),
+                    i as u64 + 1,
+                    "seed {seed}, {label}: epoch not bumped per scan"
+                );
+                for &k in &probes {
                     assert_eq!(
-                        snap.scans(),
-                        i as u64 + 1,
-                        "seed {seed}, {label} ({layout:?}): snapshot scan count lags"
+                        bits(snap.occupancy(k)),
+                        bits(backend.occupancy(k)),
+                        "seed {seed}, {label}, scan {i}, key {k:?}: \
+                         snapshot diverges from locked read"
                     );
-                    assert_eq!(
-                        snap.epoch(),
-                        i as u64 + 1,
-                        "seed {seed}, {label} ({layout:?}): epoch not bumped per scan"
-                    );
-                    for &k in &probes {
-                        assert_eq!(
-                            bits(snap.occupancy(k)),
-                            bits(backend.occupancy(k)),
-                            "seed {seed}, {label} ({layout:?}), scan {i}, key {k:?}: \
-                             snapshot diverges from locked read"
-                        );
-                    }
                 }
             }
         }
@@ -183,124 +177,118 @@ fn every_query_kind_matches_flushed_tree() {
         let boxes = probe_boxes(&scans);
         let fan = ray_fan();
         let origin = scans.last().expect("scenario non-empty").origin;
-        for layout in layouts() {
-            for (label, backend) in backends_with(layout) {
-                let (snap, tree) = final_snapshot_and_tree(backend, &scans);
-                let ctx = format!("seed {seed}, {label} ({layout:?})");
+        for (label, backend) in all_backends(grid()) {
+            let (snap, tree) = final_snapshot_and_tree(backend, &scans);
+            let ctx = format!("seed {seed}, {label}");
 
-                for &k in &probes {
+            for &k in &probes {
+                assert_eq!(
+                    bits(snap.occupancy(k)),
+                    bits(tree.search(k)),
+                    "{ctx}: occupancy {k:?}"
+                );
+                assert_eq!(
+                    snap.is_occupied(k),
+                    tree.is_occupied(k),
+                    "{ctx}: is_occupied {k:?}"
+                );
+                for level in [1u8, 2, 3] {
                     assert_eq!(
-                        bits(snap.occupancy(k)),
-                        bits(tree.search(k)),
-                        "{ctx}: occupancy {k:?}"
-                    );
-                    assert_eq!(
-                        snap.is_occupied(k),
-                        tree.is_occupied(k),
-                        "{ctx}: is_occupied {k:?}"
-                    );
-                    for level in [1u8, 2, 3] {
-                        assert_eq!(
-                            bits(snap.search_at_level(k, level)),
-                            bits(tree_query::search_at_level(&tree, k, level)),
-                            "{ctx}: search_at_level {k:?} L{level}"
-                        );
-                    }
-                }
-
-                for scan in scans.iter().step_by(3) {
-                    for p in scan.points.iter().step_by(11) {
-                        assert_eq!(
-                            snap.is_occupied_at(*p).expect("point in grid"),
-                            tree.is_occupied_at(*p).expect("point in grid"),
-                            "{ctx}: is_occupied_at {p:?}"
-                        );
-                    }
-                }
-
-                for dir in &fan {
-                    for ignore_unknown in [false, true] {
-                        let a = snap.cast_ray(origin, *dir, 25.0, ignore_unknown);
-                        let b = tree_query::cast_ray(&tree, origin, *dir, 25.0, ignore_unknown);
-                        assert_eq!(a, b, "{ctx}: cast_ray dir {dir:?} iu={ignore_unknown}");
-                    }
-                }
-
-                for b in &boxes {
-                    assert_eq!(
-                        snap.any_occupied_in_box(b).expect("box in grid"),
-                        tree_query::any_occupied_in_box(&tree, b).expect("box in grid"),
-                        "{ctx}: any_occupied_in_box {b:?}"
-                    );
-                    assert_eq!(
-                        sorted_leaves(snap.leaves_in_box(b).expect("box in grid")),
-                        sorted_leaves(tree_query::leaves_in_box(&tree, b).expect("box in grid")),
-                        "{ctx}: leaves_in_box {b:?}"
+                        bits(snap.search_at_level(k, level)),
+                        bits(tree_query::search_at_level(&tree, k, level)),
+                        "{ctx}: search_at_level {k:?} L{level}"
                     );
                 }
+            }
 
-                let (batch, stats) = snap.batch_occupancy(&probes);
-                assert_eq!(stats.queries, probes.len() as u64, "{ctx}: batch count");
-                for (i, &k) in probes.iter().enumerate() {
+            for scan in scans.iter().step_by(3) {
+                for p in scan.points.iter().step_by(11) {
                     assert_eq!(
-                        bits(batch[i]),
-                        bits(tree.search(k)),
-                        "{ctx}: batch_occupancy[{i}] for {k:?}"
+                        snap.is_occupied_at(*p).expect("point in grid"),
+                        tree.is_occupied_at(*p).expect("point in grid"),
+                        "{ctx}: is_occupied_at {p:?}"
                     );
                 }
+            }
+
+            for dir in &fan {
+                for ignore_unknown in [false, true] {
+                    let a = snap.cast_ray(origin, *dir, 25.0, ignore_unknown);
+                    let b = tree_query::cast_ray(&tree, origin, *dir, 25.0, ignore_unknown);
+                    assert_eq!(a, b, "{ctx}: cast_ray dir {dir:?} iu={ignore_unknown}");
+                }
+            }
+
+            for b in &boxes {
+                assert_eq!(
+                    snap.any_occupied_in_box(b).expect("box in grid"),
+                    tree_query::any_occupied_in_box(&tree, b).expect("box in grid"),
+                    "{ctx}: any_occupied_in_box {b:?}"
+                );
+                assert_eq!(
+                    sorted_leaves(snap.leaves_in_box(b).expect("box in grid")),
+                    sorted_leaves(tree_query::leaves_in_box(&tree, b).expect("box in grid")),
+                    "{ctx}: leaves_in_box {b:?}"
+                );
+            }
+
+            let (batch, stats) = snap.batch_occupancy(&probes);
+            assert_eq!(stats.queries, probes.len() as u64, "{ctx}: batch count");
+            for (i, &k) in probes.iter().enumerate() {
+                assert_eq!(
+                    bits(batch[i]),
+                    bits(tree.search(k)),
+                    "{ctx}: batch_occupancy[{i}] for {k:?}"
+                );
             }
         }
     }
 }
 
-/// Angle 3: the snapshot answer set is bit-identical across all backends ×
-/// layouts — including the structure-independent leaf checksum — so readers
-/// observe one map, not seven.
+/// Angle 3: the snapshot answer set is bit-identical across all backends —
+/// including the structure-independent leaf checksum — so readers observe
+/// one map, not seven.
 #[test]
-fn snapshot_answers_agree_across_backends_and_layouts() {
+fn snapshot_answers_agree_across_backends() {
     for seed in 0..num_scenarios() {
         let scans = scenario(seed * 4099 + 3);
         let probes = probe_keys(&scans);
         let fan = ray_fan();
         let origin = scans[0].origin;
 
-        // (answers, checksum) fingerprint per backend × layout.
+        // (answers, checksum) fingerprint per backend.
         let mut reference: Option<(String, Vec<Option<u32>>, Vec<_>, u64)> = None;
-        for layout in layouts() {
-            for (label, mut backend) in backends_with(layout) {
-                let handle = backend.query_handle();
-                for scan in &scans {
-                    backend
-                        .insert_scan(scan.origin, &scan.points, 40.0)
-                        .expect("scan within grid");
-                }
-                let snap = handle.snapshot();
-                let (batch, _) = snap.batch_occupancy(&probes);
-                let answers: Vec<Option<u32>> =
-                    batch.into_iter().map(|o| o.map(f32::to_bits)).collect();
-                let rays: Vec<_> = fan
-                    .iter()
-                    .map(|d| snap.cast_ray(origin, *d, 25.0, false).expect("ray in grid"))
-                    .collect();
-                let checksum = snap.checksum();
-                match &reference {
-                    None => {
-                        reference = Some((format!("{label} ({layout:?})"), answers, rays, checksum))
-                    }
-                    Some((ref_label, ref_answers, ref_rays, ref_checksum)) => {
-                        assert_eq!(
-                            &answers, ref_answers,
-                            "seed {seed}: {label} ({layout:?}) occupancy differs from {ref_label}"
-                        );
-                        assert_eq!(
-                            &rays, ref_rays,
-                            "seed {seed}: {label} ({layout:?}) cast_ray differs from {ref_label}"
-                        );
-                        assert_eq!(
-                            checksum, *ref_checksum,
-                            "seed {seed}: {label} ({layout:?}) leaf checksum differs from {ref_label}"
-                        );
-                    }
+        for (label, mut backend) in all_backends(grid()) {
+            let handle = backend.query_handle();
+            for scan in &scans {
+                backend
+                    .insert_scan(scan.origin, &scan.points, 40.0)
+                    .expect("scan within grid");
+            }
+            let snap = handle.snapshot();
+            let (batch, _) = snap.batch_occupancy(&probes);
+            let answers: Vec<Option<u32>> =
+                batch.into_iter().map(|o| o.map(f32::to_bits)).collect();
+            let rays: Vec<_> = fan
+                .iter()
+                .map(|d| snap.cast_ray(origin, *d, 25.0, false).expect("ray in grid"))
+                .collect();
+            let checksum = snap.checksum();
+            match &reference {
+                None => reference = Some((label.clone(), answers, rays, checksum)),
+                Some((ref_label, ref_answers, ref_rays, ref_checksum)) => {
+                    assert_eq!(
+                        &answers, ref_answers,
+                        "seed {seed}: {label} occupancy differs from {ref_label}"
+                    );
+                    assert_eq!(
+                        &rays, ref_rays,
+                        "seed {seed}: {label} cast_ray differs from {ref_label}"
+                    );
+                    assert_eq!(
+                        checksum, *ref_checksum,
+                        "seed {seed}: {label} leaf checksum differs from {ref_label}"
+                    );
                 }
             }
         }

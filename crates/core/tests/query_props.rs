@@ -14,7 +14,7 @@
 
 use octocache::MapSnapshot;
 use octocache_geom::{VoxelGrid, VoxelKey};
-use octocache_octomap::{OccupancyOcTree, OccupancyParams, TreeLayout};
+use octocache_octomap::{OccupancyOcTree, OccupancyParams};
 use proptest::prelude::*;
 
 fn grid() -> VoxelGrid {
@@ -36,8 +36,8 @@ fn arb_queries() -> impl Strategy<Value = Vec<VoxelKey>> {
     proptest::collection::vec(arb_key(), 0..120)
 }
 
-fn build_snapshot(updates: &[(VoxelKey, bool)], layout: TreeLayout) -> MapSnapshot {
-    let mut tree = OccupancyOcTree::with_layout(grid(), OccupancyParams::default(), layout);
+fn build_snapshot(updates: &[(VoxelKey, bool)]) -> MapSnapshot {
+    let mut tree = OccupancyOcTree::new(grid(), OccupancyParams::default());
     for (key, occupied) in updates {
         tree.update_node(*key, *occupied);
     }
@@ -52,22 +52,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Batch answers are the one-at-a-time answers, in input order,
-    /// bit-for-bit — on both storage layouts.
+    /// bit-for-bit.
     #[test]
     fn batch_matches_one_at_a_time(updates in arb_updates(), queries in arb_queries()) {
-        for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-            let snap = build_snapshot(&updates, layout);
-            let (batch, stats) = snap.batch_occupancy(&queries);
-            prop_assert_eq!(batch.len(), queries.len());
-            prop_assert_eq!(stats.queries, queries.len() as u64);
-            prop_assert!(stats.nodes_reused <= stats.nodes_visited + stats.nodes_reused);
-            for (i, &k) in queries.iter().enumerate() {
-                prop_assert_eq!(
-                    bits(batch[i]),
-                    bits(snap.occupancy(k)),
-                    "query {} for {:?} ({:?})", i, k, layout
-                );
-            }
+        let snap = build_snapshot(&updates);
+        let (batch, stats) = snap.batch_occupancy(&queries);
+        prop_assert_eq!(batch.len(), queries.len());
+        prop_assert_eq!(stats.queries, queries.len() as u64);
+        prop_assert!(stats.nodes_reused <= stats.nodes_visited + stats.nodes_reused);
+        for (i, &k) in queries.iter().enumerate() {
+            prop_assert_eq!(
+                bits(batch[i]),
+                bits(snap.occupancy(k)),
+                "query {} for {:?}", i, k
+            );
         }
     }
 
@@ -79,7 +77,7 @@ proptest! {
         queries in arb_queries(),
         rot in 0usize..120,
     ) {
-        let snap = build_snapshot(&updates, TreeLayout::Pointer);
+        let snap = build_snapshot(&updates);
         let (base, _) = snap.batch_occupancy(&queries);
 
         // A rotation plus a reversal covers arbitrary reorderings without
@@ -114,7 +112,7 @@ proptest! {
         key in arb_key(),
         copies in 1usize..50,
     ) {
-        let snap = build_snapshot(&updates, TreeLayout::Pointer);
+        let snap = build_snapshot(&updates);
         let single = bits(snap.occupancy(key));
         let batch_input = vec![key; copies];
         let (answers, stats) = snap.batch_occupancy(&batch_input);
@@ -129,7 +127,7 @@ proptest! {
     /// `None` everywhere — exactly like singles.
     #[test]
     fn degenerate_batches(queries in arb_queries()) {
-        let snap = build_snapshot(&[], TreeLayout::Pointer);
+        let snap = build_snapshot(&[]);
 
         let (empty, empty_stats) = snap.batch_occupancy(&[]);
         prop_assert!(empty.is_empty());

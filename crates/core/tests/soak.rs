@@ -4,7 +4,7 @@
 //!
 //! A seeded long run (hundreds of scans) interleaves periodic worker
 //! kills, memory pressure from a deliberately tight budget, and burst
-//! overload, across worker counts and both octree storage layouts. The
+//! overload, across worker counts. The
 //! contract under test:
 //!
 //! 1. The final map is voxel-for-voxel identical to a serial replay of
@@ -29,7 +29,7 @@ use common::Scan;
 use octocache::pipeline::{MappingSystem, RayTracer};
 use octocache::{
     CacheConfig, FaultPlan, Integrity, ParallelOctoCache, PipelineError, ScanOutcome,
-    SerialOctoCache, SharedRecorder, ShedReason, TreeLayout,
+    SerialOctoCache, SharedRecorder, ShedReason,
 };
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
 use proptest::prelude::*;
@@ -53,12 +53,8 @@ fn soak_seed() -> u64 {
 }
 
 /// Serial replay of `scans` (no supervisor) — the differential reference.
-fn serial_reference(scans: &[&Scan], layout: TreeLayout) -> OccupancyOcTree {
-    let mut s = SerialOctoCache::new(
-        common::grid(),
-        OccupancyParams::default(),
-        common::cache_with(layout),
-    );
+fn serial_reference(scans: &[&Scan]) -> OccupancyOcTree {
+    let mut s = SerialOctoCache::new(common::grid(), OccupancyParams::default(), common::cache());
     for scan in scans {
         s.insert_scan(scan.origin, &scan.points, MAX_RANGE)
             .expect("reference scan");
@@ -130,9 +126,9 @@ fn run_supervised(scans: &[Scan], config: CacheConfig, workers: usize) -> SoakOu
     }
 }
 
-fn assert_differential(label: &str, scans: &[Scan], o: &SoakOutcome, layout: TreeLayout) {
+fn assert_differential(label: &str, scans: &[Scan], o: &SoakOutcome) {
     let applied: Vec<&Scan> = o.applied.iter().map(|&i| &scans[i]).collect();
-    let reference = serial_reference(&applied, layout);
+    let reference = serial_reference(&applied);
     let d = compare::diff(&reference, &o.tree, 0.0);
     assert!(
         d.is_identical(),
@@ -182,63 +178,60 @@ fn chaos_soak_heals_sheds_and_stays_differential_exact() {
     let seed = soak_seed();
     let scans = soak_scans(seed);
     assert!(scans.len() >= 200, "soak needs hundreds of scans");
-    for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-        // The budget is derived from the run itself: ~4/5 of the final
-        // serial tree footprint, so the pressure ladder must engage as the
-        // map approaches completion without starving the whole run.
-        let all: Vec<&Scan> = scans.iter().collect();
-        let budget = (serial_reference(&all, layout).memory_usage() as u64) * 4 / 5;
-        for workers in [2usize, 4, 8] {
-            let label = format!("soak seed={seed} layout={layout:?} n={workers}");
-            let mut b = CacheConfig::builder();
-            b.num_buckets(1 << 7)
-                .tau(2)
-                .tree_layout(layout)
-                .mem_budget(budget)
-                .max_restarts(10_000)
-                .stall_timeout(Duration::from_secs(10));
-            b.fault_plan(FaultPlan::from_spec("killevery:0@7").expect("spec"));
-            let o = run_supervised(&scans, b.build().unwrap(), workers);
-            let s = &o.map_summary;
+    // The budget is derived from the run itself: ~4/5 of the final
+    // serial tree footprint, so the pressure ladder must engage as the
+    // map approaches completion without starving the whole run.
+    let all: Vec<&Scan> = scans.iter().collect();
+    let budget = (serial_reference(&all).memory_usage() as u64) * 4 / 5;
+    for workers in [2usize, 4, 8] {
+        let label = format!("soak seed={seed} n={workers}");
+        let mut b = CacheConfig::builder();
+        b.num_buckets(1 << 7)
+            .tau(2)
+            .mem_budget(budget)
+            .max_restarts(10_000)
+            .stall_timeout(Duration::from_secs(10));
+        b.fault_plan(FaultPlan::from_spec("killevery:0@7").expect("spec"));
+        let o = run_supervised(&scans, b.build().unwrap(), workers);
+        let s = &o.map_summary;
 
-            // Worker kills happened and every one of them was healed by a
-            // respawn (the restart budget is never exhausted here).
-            assert!(o.kill_errors >= 1, "{label}: the kill fault never fired");
-            assert!(s.counters.heals >= 1, "{label}: no heals recorded");
-            assert_eq!(
-                s.counters.restarts, s.counters.heals,
-                "{label}: a respawn failed to heal: {:?}",
-                s.counters
-            );
-            assert_reconverges(&label, s);
+        // Worker kills happened and every one of them was healed by a
+        // respawn (the restart budget is never exhausted here).
+        assert!(o.kill_errors >= 1, "{label}: the kill fault never fired");
+        assert!(s.counters.heals >= 1, "{label}: no heals recorded");
+        assert_eq!(
+            s.counters.restarts, s.counters.heals,
+            "{label}: a respawn failed to heal: {:?}",
+            s.counters
+        );
+        assert_reconverges(&label, s);
 
-            // The governor engaged (some scan saw pressure above normal)
-            // but never admitted a scan at the reject rung.
-            assert!(
-                s.records
-                    .iter()
-                    .any(|r| !r.pressure_level.is_empty() && r.pressure_level != "normal"),
-                "{label}: the pressure ladder never engaged"
-            );
-            assert!(
-                s.records.iter().all(|r| r.pressure_level != "over-budget"),
-                "{label}: a scan was applied at the reject rung"
-            );
-            // Heals and restarts land in the per-scan records too.
-            assert_eq!(
-                s.records.iter().map(|r| r.heals).sum::<u64>(),
-                s.counters.heals,
-                "{label}"
-            );
-            assert!(
-                s.records.iter().map(|r| r.sheds).sum::<u64>() <= o.sheds,
-                "{label}: record sheds exceed observed sheds"
-            );
+        // The governor engaged (some scan saw pressure above normal)
+        // but never admitted a scan at the reject rung.
+        assert!(
+            s.records
+                .iter()
+                .any(|r| !r.pressure_level.is_empty() && r.pressure_level != "normal"),
+            "{label}: the pressure ladder never engaged"
+        );
+        assert!(
+            s.records.iter().all(|r| r.pressure_level != "over-budget"),
+            "{label}: a scan was applied at the reject rung"
+        );
+        // Heals and restarts land in the per-scan records too.
+        assert_eq!(
+            s.records.iter().map(|r| r.heals).sum::<u64>(),
+            s.counters.heals,
+            "{label}"
+        );
+        assert!(
+            s.records.iter().map(|r| r.sheds).sum::<u64>() <= o.sheds,
+            "{label}: record sheds exceed observed sheds"
+        );
 
-            // The capstone: the map equals a serial replay of exactly the
-            // applied scans.
-            assert_differential(&label, &scans, &o, layout);
-        }
+        // The capstone: the map equals a serial replay of exactly the
+        // applied scans.
+        assert_differential(&label, &scans, &o);
     }
 }
 
@@ -249,48 +242,42 @@ fn burst_overload_sheds_and_reapplies_cleanly() {
     // must equal the serial replay of the applied subset. No faults are
     // injected, so the verdict stays intact throughout.
     let scans = soak_scans(soak_seed());
-    for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-        let mut b = CacheConfig::builder();
-        b.num_buckets(1 << 7)
-            .tau(2)
-            .tree_layout(layout)
-            .shed_deadline(Duration::from_micros(1));
-        let mut map = ParallelOctoCache::with_workers(
-            common::grid(),
-            OccupancyParams::default(),
-            b.build().unwrap(),
-            RayTracer::Standard,
-            2,
-        );
-        let mut applied = Vec::new();
-        let mut sheds = 0u64;
-        for (i, scan) in scans.iter().enumerate() {
-            match map.submit_scan(scan.origin, &scan.points, MAX_RANGE) {
-                Ok(ScanOutcome::Applied(_)) => applied.push(i),
-                Ok(ScanOutcome::Shed(ShedReason::DeadlineExceeded { .. })) => sheds += 1,
-                other => panic!("scan {i}: unexpected outcome {other:?}"),
-            }
+    let mut b = CacheConfig::builder();
+    b.num_buckets(1 << 7)
+        .tau(2)
+        .shed_deadline(Duration::from_micros(1));
+    let mut map = ParallelOctoCache::with_workers(
+        common::grid(),
+        OccupancyParams::default(),
+        b.build().unwrap(),
+        RayTracer::Standard,
+        2,
+    );
+    let mut applied = Vec::new();
+    let mut sheds = 0u64;
+    for (i, scan) in scans.iter().enumerate() {
+        match map.submit_scan(scan.origin, &scan.points, MAX_RANGE) {
+            Ok(ScanOutcome::Applied(_)) => applied.push(i),
+            Ok(ScanOutcome::Shed(ShedReason::DeadlineExceeded { .. })) => sheds += 1,
+            other => panic!("scan {i}: unexpected outcome {other:?}"),
         }
-        map.finish();
-        assert!(sheds > 0, "layout={layout:?}: overload never shed");
-        assert!(
-            !applied.is_empty(),
-            "layout={layout:?}: gate never re-admitted"
-        );
-        assert_eq!(map.integrity(), Integrity::Intact);
-        assert!(!map.fault_counters().any());
-        let applied_scans: Vec<&Scan> = applied.iter().map(|&i| &scans[i]).collect();
-        let reference = serial_reference(&applied_scans, layout);
-        let d = compare::diff(&reference, &map.into_tree(), 0.0);
-        assert!(
-            d.is_identical(),
-            "layout={layout:?}: {} value / {} coverage mismatches over {} applied / {} shed",
-            d.value_mismatches,
-            d.coverage_mismatches,
-            applied.len(),
-            sheds
-        );
     }
+    map.finish();
+    assert!(sheds > 0, "overload never shed");
+    assert!(!applied.is_empty(), "gate never re-admitted");
+    assert_eq!(map.integrity(), Integrity::Intact);
+    assert!(!map.fault_counters().any());
+    let applied_scans: Vec<&Scan> = applied.iter().map(|&i| &scans[i]).collect();
+    let reference = serial_reference(&applied_scans);
+    let d = compare::diff(&reference, &map.into_tree(), 0.0);
+    assert!(
+        d.is_identical(),
+        "{} value / {} coverage mismatches over {} applied / {} shed",
+        d.value_mismatches,
+        d.coverage_mismatches,
+        applied.len(),
+        sheds
+    );
 }
 
 proptest! {
@@ -316,7 +303,7 @@ proptest! {
         let s = &o.map_summary;
         prop_assert_eq!(s.counters.restarts, s.counters.heals);
         let applied: Vec<&Scan> = o.applied.iter().map(|&i| &scans[i]).collect();
-        let reference = serial_reference(&applied, TreeLayout::Pointer);
+        let reference = serial_reference(&applied);
         let d = compare::diff(&reference, &o.tree, 0.0);
         prop_assert!(
             d.is_identical(),

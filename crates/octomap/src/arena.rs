@@ -1,8 +1,9 @@
-//! Index-based node-pool storage for the occupancy octree.
+//! Node-pool storage for the occupancy octree.
 //!
-//! The pointer tree ([`crate::node::OcTreeNode`]) reproduces reference
-//! OctoMap's layout — and with it the root-to-leaf pointer chase the paper
-//! costs out in §3.2. This module is the alternative the related work
+//! Reference OctoMap stores each node in its own heap box with a pointer
+//! array to its children, so every root-to-leaf update is the pointer chase
+//! the paper costs out in §3.2. This module keeps the same tree and the same
+//! per-update node visits, but stores the nodes the way the related work
 //! advocates (OpenVDB-style occupancy mapping, VoxelCache): all nodes live
 //! in one `Vec`-backed pool addressed by `u32` indices.
 //!
@@ -24,7 +25,6 @@
 
 use octocache_geom::VoxelKey;
 
-use crate::node::OcTreeNode;
 use crate::occupancy::OccupancyParams;
 use crate::stats::TreeStats;
 use crate::tree::LeafOp;
@@ -55,8 +55,8 @@ impl ArenaNode {
     }
 }
 
-/// A `Vec`-backed occupancy octree: the [`crate::TreeLayout::Arena`]
-/// storage behind [`crate::OccupancyOcTree`].
+/// A `Vec`-backed occupancy octree: the storage behind
+/// [`crate::OccupancyOcTree`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ArenaTree {
     nodes: Vec<ArenaNode>,
@@ -124,9 +124,9 @@ impl ArenaTree {
     /// The iterative root-to-leaf round trip: descend (expanding pruned
     /// aggregates, creating missing children), apply `op` at the leaf, then
     /// unwind the recorded path — prune equal-valued sibling sets, refresh
-    /// inner values to the max of their children. Visit counting mirrors the
-    /// pointer layout's recursion exactly, so node-visit telemetry is
-    /// layout-independent.
+    /// inner values to the max of their children. Visit counting mirrors
+    /// reference OctoMap's recursion exactly: one visit per node on the way
+    /// down, one per inner node on the way back, eight per expansion.
     pub(crate) fn apply_at_leaf(
         &mut self,
         key: VoxelKey,
@@ -294,7 +294,8 @@ impl ArenaTree {
         n.mask = 0;
     }
 
-    fn max_child(&self, idx: u32) -> Option<f32> {
+    /// The maximum log-odds over `idx`'s children, `None` when childless.
+    pub(crate) fn max_child(&self, idx: u32) -> Option<f32> {
         let n = self.nodes[idx as usize];
         if n.mask == 0 {
             return None;
@@ -344,9 +345,8 @@ impl ArenaTree {
     /// reindexing: whole eight-child blocks are copied and only their `block`
     /// indices rewritten — no per-voxel re-insertion, no value recomputation.
     ///
-    /// Mirrors the pointer layout's merge contract: errors when both trees
-    /// populate the same top octant or either root is childless while both
-    /// hold data.
+    /// Errors when both trees populate the same top octant or either root is
+    /// childless while both hold data.
     pub(crate) fn merge_disjoint_top_level(&mut self, other: &ArenaTree) -> Result<(), String> {
         if other.nodes.is_empty() {
             return Ok(());
@@ -412,55 +412,34 @@ impl ArenaTree {
         }
     }
 
-    /// Builds an arena from a pointer tree (same structure, same values).
-    pub(crate) fn from_pointer(root: Option<&OcTreeNode>) -> ArenaTree {
-        let mut t = ArenaTree::new();
-        let Some(root) = root else {
-            return t;
-        };
-        t.nodes.push(ArenaNode::leaf(root.log_odds()));
-        let mut stack: Vec<(&OcTreeNode, u32)> = vec![(root, 0)];
-        while let Some((n, d)) = stack.pop() {
-            if !n.has_children() {
-                continue;
-            }
-            let b = t.alloc_block();
-            t.nodes[d as usize].block = b;
-            t.nodes[d as usize].mask = n.child_mask();
-            for (i, c) in n.children() {
-                let di = b + i.as_usize() as u32;
-                t.nodes[di as usize] = ArenaNode::leaf(c.log_odds());
-                stack.push((c, di));
-            }
+    /// A pool holding only a childless root: where the `.ot` / `.bt`
+    /// decoders ([`crate::io`], [`crate::io_bt`]) start building top-down.
+    pub(crate) fn with_root(log_odds: f32) -> ArenaTree {
+        ArenaTree {
+            nodes: vec![ArenaNode::leaf(log_odds)],
+            free_blocks: Vec::new(),
         }
-        t
     }
 
-    /// Materialises the pool as a pointer tree (same structure, same
-    /// values).
-    #[cfg(test)]
-    pub(crate) fn to_pointer(&self) -> Option<Box<OcTreeNode>> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        Some(Box::new(self.node_to_pointer(0)))
+    /// Overwrites node `idx`'s log-odds without refreshing its ancestors
+    /// (decoders set inner values themselves).
+    pub(crate) fn set_log_odds(&mut self, idx: u32, log_odds: f32) {
+        self.nodes[idx as usize].log_odds = log_odds;
     }
 
-    #[cfg(test)]
-    fn node_to_pointer(&self, idx: u32) -> OcTreeNode {
-        let n = self.nodes[idx as usize];
-        let mut out = OcTreeNode::new(n.log_odds);
-        if n.mask != 0 {
-            for c in 0..8u8 {
-                if n.mask & (1 << c) != 0 {
-                    let child = self.node_to_pointer(n.block + c as u32);
-                    let (slot, _) =
-                        out.child_or_create(octocache_geom::ChildIndex::new(c), child.log_odds());
-                    *slot = child;
-                }
-            }
+    /// Gives the childless node `idx` the children named in `mask`, each a
+    /// childless node holding `log_odds`, and returns the block base: child
+    /// `i` lives at `base + i`.
+    pub(crate) fn add_children(&mut self, idx: u32, mask: u8, log_odds: f32) -> u32 {
+        debug_assert!(mask != 0 && self.nodes[idx as usize].mask == 0);
+        let block = self.alloc_block();
+        for s in 0..8u32 {
+            self.nodes[(block + s) as usize] = ArenaNode::leaf(log_odds);
         }
-        out
+        let n = &mut self.nodes[idx as usize];
+        n.block = block;
+        n.mask = mask;
+        block
     }
 
     /// Structural self-check: every reachable childless node holds no block,
@@ -576,29 +555,20 @@ mod tests {
     }
 
     #[test]
-    fn pointer_round_trip_preserves_structure() {
-        let mut t = ArenaTree::new();
-        let stats = TreeStats::new();
-        for (i, k) in [
-            VoxelKey::new(0, 0, 0),
-            VoxelKey::new(15, 15, 15),
-            VoxelKey::new(7, 8, 9),
-            VoxelKey::new(7, 8, 10),
-        ]
-        .iter()
-        .enumerate()
-        {
-            observe(&mut t, *k, i % 2 == 0, &stats);
-        }
-        let ptr = t.to_pointer().unwrap();
-        let back = ArenaTree::from_pointer(Some(&ptr));
-        assert_eq!(back.count_nodes(), t.count_nodes());
-        assert_eq!(back.count_leaves(), t.count_leaves());
-        back.check_structure().unwrap();
-        for x in 0..16u16 {
-            let k = VoxelKey::new(x, x % 9, x % 11);
-            assert_eq!(back.search(k, 4, &stats), t.search(k, 4, &stats));
-        }
+    fn top_down_build_matches_incremental_structure() {
+        // Root with children 0 and 7; child 7 holds one grandchild.
+        let mut t = ArenaTree::with_root(0.0);
+        let b = t.add_children(0, 0b1000_0001, -1.0);
+        let g = t.add_children(b + 7, 0b0000_0100, 2.0);
+        t.set_log_odds(b + 7, 2.0);
+        t.set_log_odds(0, 2.0);
+        t.check_structure().unwrap();
+        assert_eq!(t.count_nodes(), 4);
+        assert_eq!(t.count_leaves(), 2);
+        assert_eq!(t.child_of(0, 7), Some(b + 7));
+        assert_eq!(t.child_of(0, 3), None);
+        assert_eq!(t.child_of(b + 7, 2), Some(g + 2));
+        assert_eq!(t.log_odds(g + 2), 2.0);
     }
 
     #[test]

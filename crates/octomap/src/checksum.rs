@@ -10,9 +10,8 @@
 //!   vendors no compression/CRC crate.
 //! * [`OccupancyOcTree::leaf_checksum`](crate::OccupancyOcTree::leaf_checksum)
 //!   — an FNV-1a fold over the *decoded* leaf set `(key, level, log-odds)`,
-//!   guarding semantic round-trip fidelity. It is storage-layout independent,
-//!   so a map written from a pointer tree and re-read into an arena tree (or
-//!   vice versa) keeps the same sum.
+//!   guarding semantic round-trip fidelity. It ignores where nodes sit in
+//!   the pool, so a map keeps its sum across any write/read round trip.
 
 /// Streaming CRC-32 (IEEE) state.
 ///

@@ -24,11 +24,10 @@
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use octocache_geom::{ChildIndex, VoxelGrid};
+use octocache_geom::VoxelGrid;
 
+use crate::arena::ArenaTree;
 use crate::checksum::crc32;
-use crate::layout::TreeLayout;
-use crate::node::OcTreeNode;
 use crate::occupancy::OccupancyParams;
 use crate::tree::{NodeRef, OccupancyOcTree};
 
@@ -222,36 +221,19 @@ fn write_node(node: NodeRef<'_>, buf: &mut BytesMut) {
 }
 
 /// Deserialises a tree from bytes produced by [`write_tree`] or
-/// [`write_tree_v2`], storing it in the ambient default layout
-/// ([`TreeLayout::default_from_env`]).
-///
-/// The byte stream is layout-independent: a map written from a pointer tree
-/// reads back into an arena tree bit-for-bit equivalently, and vice versa.
-/// When a v2 footer is present, both the payload CRC and the decoded leaf
-/// checksum are verified.
+/// [`write_tree_v2`]. When a v2 footer is present, both the payload CRC and
+/// the decoded leaf checksum are verified.
 ///
 /// # Errors
 ///
 /// Returns a [`ReadError`] on malformed input; never panics on untrusted
 /// bytes.
 pub fn read_tree(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
-    read_tree_with_layout(bytes, TreeLayout::default_from_env())
+    read_tree_with_meta(bytes).map(|(tree, _)| tree)
 }
 
-/// As [`read_tree`], but stores the decoded tree in an explicit layout.
-///
-/// # Errors
-///
-/// Returns a [`ReadError`] on malformed input.
-pub fn read_tree_with_layout(
-    bytes: &[u8],
-    layout: TreeLayout,
-) -> Result<OccupancyOcTree, ReadError> {
-    read_tree_with_meta(bytes, layout).map(|(tree, _)| tree)
-}
-
-/// As [`read_tree_with_layout`], additionally returning the v2 footer when
-/// the stream carries one (`None` for legacy v1 streams).
+/// As [`read_tree`], additionally returning the v2 footer when the stream
+/// carries one (`None` for legacy v1 streams).
 ///
 /// # Errors
 ///
@@ -260,11 +242,20 @@ pub fn read_tree_with_layout(
 /// when a v2 stream fails its integrity checks.
 pub fn read_tree_with_meta(
     bytes: &[u8],
-    layout: TreeLayout,
 ) -> Result<(OccupancyOcTree, Option<MapFooter>), ReadError> {
     let (payload, meta) = split_footer(bytes)?;
-    let tree = read_payload(payload, layout)?;
-    if let Some(meta) = &meta {
+    let tree = read_payload(payload)?;
+    verify_leaf_checksum(&tree, meta.as_ref())?;
+    Ok((tree, meta))
+}
+
+/// Checks a decoded tree against its v2 footer's leaf checksum (v1 streams,
+/// which carry no footer, pass).
+pub(crate) fn verify_leaf_checksum(
+    tree: &OccupancyOcTree,
+    meta: Option<&MapFooter>,
+) -> Result<(), ReadError> {
+    if let Some(meta) = meta {
         let actual = tree.leaf_checksum();
         if actual != meta.leaf_checksum {
             return Err(ReadError::LeafChecksumMismatch {
@@ -273,10 +264,10 @@ pub fn read_tree_with_meta(
             });
         }
     }
-    Ok((tree, meta))
+    Ok(())
 }
 
-fn read_payload(bytes: &[u8], layout: TreeLayout) -> Result<OccupancyOcTree, ReadError> {
+fn read_payload(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
     let mut buf = bytes;
     if buf.remaining() < 4 || &buf[..4] != MAGIC {
         return Err(ReadError::BadMagic);
@@ -299,20 +290,28 @@ fn read_payload(bytes: &[u8], layout: TreeLayout) -> Result<OccupancyOcTree, Rea
         return Err(ReadError::BadGrid("inconsistent occupancy params".into()));
     }
     let has_root = buf.get_u8() == 1;
-    let mut tree = OccupancyOcTree::with_layout(grid, params, layout);
-    if has_root {
-        let root = read_node(&mut buf, depth)?;
-        if buf.has_remaining() {
-            return Err(ReadError::TrailingBytes(buf.remaining()));
-        }
-        tree.install_root(Some(Box::new(root)));
-    } else if buf.has_remaining() {
+    let nodes = if has_root {
+        let mut nodes = ArenaTree::with_root(0.0);
+        read_node(&mut buf, &mut nodes, 0, depth)?;
+        nodes
+    } else {
+        ArenaTree::new()
+    };
+    if buf.has_remaining() {
         return Err(ReadError::TrailingBytes(buf.remaining()));
     }
-    Ok(tree)
+    Ok(OccupancyOcTree::from_arena(grid, params, nodes))
 }
 
-fn read_node(buf: &mut &[u8], levels_left: u8) -> Result<OcTreeNode, ReadError> {
+/// Decodes one node of the depth-first stream into pool slot `idx`, then
+/// its children into a freshly allocated block. Recursion is bounded by the
+/// header depth (at most 16 levels).
+fn read_node(
+    buf: &mut &[u8],
+    nodes: &mut ArenaTree,
+    idx: u32,
+    levels_left: u8,
+) -> Result<(), ReadError> {
     if buf.remaining() < 5 {
         return Err(ReadError::Truncated);
     }
@@ -320,21 +319,20 @@ fn read_node(buf: &mut &[u8], levels_left: u8) -> Result<OcTreeNode, ReadError> 
     if !log_odds.is_finite() {
         return Err(ReadError::NotFinite);
     }
+    nodes.set_log_odds(idx, log_odds);
     let mask = buf.get_u8();
-    let mut node = OcTreeNode::new(log_odds);
     if mask != 0 {
         if levels_left == 0 {
             return Err(ReadError::DepthOverflow);
         }
-        for i in 0..8u8 {
+        let block = nodes.add_children(idx, mask, 0.0);
+        for i in 0..8u32 {
             if mask & (1 << i) != 0 {
-                let child = read_node(buf, levels_left - 1)?;
-                let (slot, _) = node.child_or_create(ChildIndex::new(i), 0.0);
-                *slot = child;
+                read_node(buf, nodes, block + i, levels_left - 1)?;
             }
         }
     }
-    Ok(node)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -476,7 +474,7 @@ mod tests {
         let meta = peek_footer(&bytes).unwrap().expect("footer present");
         assert_eq!(meta.epoch, 42);
         assert_eq!(meta.leaf_checksum, tree.leaf_checksum());
-        let (restored, meta2) = read_tree_with_meta(&bytes, tree.layout()).unwrap();
+        let (restored, meta2) = read_tree_with_meta(&bytes).unwrap();
         assert_eq!(meta2, Some(meta));
         assert_eq!(restored.leaf_checksum(), tree.leaf_checksum());
     }
@@ -486,7 +484,7 @@ mod tests {
         let tree = sample_tree();
         let bytes = write_tree(&tree);
         assert_eq!(peek_footer(&bytes).unwrap(), None);
-        let (restored, meta) = read_tree_with_meta(&bytes, tree.layout()).unwrap();
+        let (restored, meta) = read_tree_with_meta(&bytes).unwrap();
         assert!(meta.is_none());
         assert_eq!(restored.leaf_checksum(), tree.leaf_checksum());
     }

@@ -1,8 +1,6 @@
 use octocache_geom::{ChildIndex, GeomError, Point3, VoxelGrid, VoxelKey};
 
 use crate::arena::ArenaTree;
-use crate::layout::TreeLayout;
-use crate::node::OcTreeNode;
 use crate::occupancy::OccupancyParams;
 use crate::stats::TreeStats;
 
@@ -42,11 +40,10 @@ impl LeafEntry {
 /// equal-valued sibling sets — the exact workflow of reference OctoMap and
 /// the cost model of the paper's §2.2/Figure 5.
 ///
-/// Nodes live in one of two interchangeable storage layouts
-/// ([`TreeLayout`]): reference OctoMap's pointer tree (the differential
-/// oracle) or a `Vec`-backed node pool with `u32` indices and a block
-/// free-list. Both produce voxel-for-voxel identical maps and identical
-/// node-visit telemetry; only memory layout and constant factors differ.
+/// Nodes live in a `Vec`-backed pool addressed by `u32` indices, with
+/// eight-child blocks and a block free-list (`arena.rs`). The node
+/// visits it counts are the ones reference OctoMap's pointer recursion
+/// makes, so the paper's cost model does not depend on the storage.
 ///
 /// # Example
 ///
@@ -66,88 +63,26 @@ impl LeafEntry {
 pub struct OccupancyOcTree {
     grid: VoxelGrid,
     params: OccupancyParams,
-    storage: Storage,
+    nodes: ArenaTree,
     stats: TreeStats,
     auto_prune: bool,
 }
 
-/// The node storage behind a tree, one variant per [`TreeLayout`].
-#[derive(Debug)]
-enum Storage {
-    Pointer {
-        root: Option<Box<OcTreeNode>>,
-        /// Live allocation counters, maintained incrementally so
-        /// [`OccupancyOcTree::memory_usage`] is O(1).
-        alloc: PointerAlloc,
-    },
-    Arena(ArenaTree),
-}
-
-/// What the pointer layout actually allocates: one box per node plus one
-/// eight-slot child array per inner node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PointerAlloc {
-    nodes: usize,
-    blocks: usize,
-}
-
-impl PointerAlloc {
-    fn bytes(&self) -> usize {
-        self.nodes * std::mem::size_of::<OcTreeNode>()
-            + self.blocks * std::mem::size_of::<[Option<Box<OcTreeNode>>; 8]>()
-    }
-
-    /// Recounts from scratch (used after bulk operations: deserialisation,
-    /// merge; the hot update path maintains the counters incrementally).
-    fn recount(root: Option<&OcTreeNode>) -> PointerAlloc {
-        fn walk(node: &OcTreeNode, a: &mut PointerAlloc) {
-            a.nodes += 1;
-            if node.has_children() {
-                a.blocks += 1;
-                for (_, c) in node.children() {
-                    walk(c, a);
-                }
-            }
-        }
-        let mut a = PointerAlloc::default();
-        if let Some(root) = root {
-            walk(root, &mut a);
-        }
-        a
-    }
-}
-
 impl OccupancyOcTree {
     /// Creates an empty tree over the given grid with the given sensor
-    /// model, using the ambient default layout
-    /// ([`TreeLayout::default_from_env`]).
+    /// model.
     pub fn new(grid: VoxelGrid, params: OccupancyParams) -> Self {
-        Self::with_layout(grid, params, TreeLayout::default_from_env())
+        Self::from_arena(grid, params, ArenaTree::new())
     }
 
-    /// Creates an empty tree with an explicit storage layout.
-    pub fn with_layout(grid: VoxelGrid, params: OccupancyParams, layout: TreeLayout) -> Self {
-        let storage = match layout {
-            TreeLayout::Pointer => Storage::Pointer {
-                root: None,
-                alloc: PointerAlloc::default(),
-            },
-            TreeLayout::Arena => Storage::Arena(ArenaTree::new()),
-        };
+    /// Wraps a node pool built elsewhere (the `.ot` / `.bt` decoders).
+    pub(crate) fn from_arena(grid: VoxelGrid, params: OccupancyParams, nodes: ArenaTree) -> Self {
         OccupancyOcTree {
             grid,
             params,
-            storage,
+            nodes,
             stats: TreeStats::new(),
             auto_prune: true,
-        }
-    }
-
-    /// The storage layout this tree uses.
-    pub fn layout(&self) -> TreeLayout {
-        match &self.storage {
-            Storage::Pointer { .. } => TreeLayout::Pointer,
-            Storage::Arena(_) => TreeLayout::Arena,
         }
     }
 
@@ -174,35 +109,24 @@ impl OccupancyOcTree {
 
     /// True when the tree stores no nodes at all.
     pub fn is_empty(&self) -> bool {
-        match &self.storage {
-            Storage::Pointer { root, .. } => root.is_none(),
-            Storage::Arena(a) => a.is_empty(),
-        }
+        self.nodes.is_empty()
     }
 
     /// Removes every node, releasing the allocation (pool capacity
     /// included).
     pub fn clear(&mut self) {
-        match &mut self.storage {
-            Storage::Pointer { root, alloc } => {
-                *root = None;
-                *alloc = PointerAlloc::default();
-            }
-            Storage::Arena(a) => a.clear(),
-        }
+        self.nodes.clear();
     }
 
-    /// A layout-independent reference to the root node, if any.
+    /// A shared reference to the root node, if any.
     pub(crate) fn root_ref(&self) -> Option<NodeRef<'_>> {
-        match &self.storage {
-            Storage::Pointer { root, .. } => root.as_deref().map(NodeRef::Pointer),
-            Storage::Arena(a) => {
-                if a.is_empty() {
-                    None
-                } else {
-                    Some(NodeRef::Arena { tree: a, idx: 0 })
-                }
-            }
+        if self.nodes.is_empty() {
+            None
+        } else {
+            Some(NodeRef {
+                tree: &self.nodes,
+                idx: 0,
+            })
         }
     }
 
@@ -211,70 +135,34 @@ impl OccupancyOcTree {
         self.root_ref().map(|r| r.log_odds())
     }
 
-    /// Installs a deserialised root, converting it into this tree's layout
-    /// (see [`crate::io`]).
-    pub(crate) fn install_root(&mut self, root: Option<Box<OcTreeNode>>) {
-        match &mut self.storage {
-            Storage::Pointer { root: slot, alloc } => {
-                *slot = root;
-                *alloc = PointerAlloc::recount(slot.as_deref());
-            }
-            Storage::Arena(a) => *a = ArenaTree::from_pointer(root.as_deref()),
-        }
-    }
-
-    /// Deep-copies the tree: an independent, observationally identical map
-    /// in the same storage layout.
+    /// Deep-copies the tree: an independent, observationally identical map.
     ///
     /// This is the snapshot-publication primitive of the read path
-    /// (`octocache::query`): the arena layout copies its flat node pool in
-    /// one `Vec` clone (plus the free list), the pointer layout clones the
-    /// node graph. Instrumentation counters start at zero in the copy —
-    /// queries against a snapshot are counted on the snapshot, not on the
-    /// live tree it was taken from.
+    /// (`octocache::query`): the flat node pool is copied in one `Vec`
+    /// clone (plus the free list). Instrumentation counters start at zero
+    /// in the copy — queries against a snapshot are counted on the
+    /// snapshot, not on the live tree it was taken from.
     pub fn deep_clone(&self) -> OccupancyOcTree {
-        let storage = match &self.storage {
-            Storage::Pointer { root, alloc } => Storage::Pointer {
-                root: root.clone(),
-                alloc: *alloc,
-            },
-            Storage::Arena(a) => Storage::Arena(a.clone()),
-        };
         OccupancyOcTree {
-            grid: self.grid,
-            params: self.params,
-            storage,
-            stats: TreeStats::new(),
             auto_prune: self.auto_prune,
+            ..Self::from_arena(self.grid, self.params, self.nodes.clone())
         }
     }
 
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
-        match &self.storage {
-            Storage::Pointer { root, .. } => root.as_ref().map_or(0, |r| r.count_nodes()),
-            Storage::Arena(a) => a.count_nodes(),
-        }
+        self.nodes.count_nodes()
     }
 
     /// Number of leaves (pruned cubes count once).
     pub fn num_leaves(&self) -> usize {
-        match &self.storage {
-            Storage::Pointer { root, .. } => root.as_ref().map_or(0, |r| r.count_leaves()),
-            Storage::Arena(a) => a.count_leaves(),
-        }
+        self.nodes.count_leaves()
     }
 
-    /// Heap footprint in bytes, counting what the layout actually
-    /// allocates: node boxes plus eight-slot child arrays for the pointer
-    /// tree, pool capacity (free-list slack included) plus the free-list
-    /// for the arena. Maintained incrementally — O(1), safe to sample every
-    /// scan.
+    /// Heap footprint in bytes: pool capacity (free-list slack included)
+    /// plus the free-list. O(1), safe to sample every scan.
     pub fn memory_usage(&self) -> usize {
-        match &self.storage {
-            Storage::Pointer { alloc, .. } => alloc.bytes(),
-            Storage::Arena(a) => a.memory_usage(),
-        }
+        self.nodes.memory_usage()
     }
 
     /// Integrates one occupancy observation at `key` (the paper's per-voxel
@@ -299,132 +187,21 @@ impl OccupancyOcTree {
     }
 
     fn apply_at_leaf(&mut self, key: VoxelKey, op: LeafOp) -> f32 {
-        let depth = self.grid.depth();
-        let prior = self.params.threshold;
-        match &mut self.storage {
-            Storage::Pointer { root, alloc } => {
-                let mut root_created = false;
-                let root = root.get_or_insert_with(|| {
-                    self.stats.count_created();
-                    alloc.nodes += 1;
-                    root_created = true;
-                    Box::new(OcTreeNode::new(prior))
-                });
-                Self::update_recurs(
-                    root,
-                    root_created,
-                    key,
-                    depth,
-                    &self.params,
-                    &self.stats,
-                    self.auto_prune,
-                    alloc,
-                    op,
-                )
-            }
-            Storage::Arena(a) => {
-                a.apply_at_leaf(key, depth, &self.params, &self.stats, self.auto_prune, op)
-            }
-        }
-    }
-
-    /// Recursive descent + unwind. `level` is the current node's height above
-    /// the leaves (`depth` at the root, 0 at a leaf). `is_fresh` marks nodes
-    /// created during *this* descent, which must not be expanded (they are
-    /// not pruned aggregates) — reference OctoMap's `created_node` flag.
-    #[allow(clippy::too_many_arguments)]
-    fn update_recurs(
-        node: &mut OcTreeNode,
-        is_fresh: bool,
-        key: VoxelKey,
-        level: u8,
-        params: &OccupancyParams,
-        stats: &TreeStats,
-        auto_prune: bool,
-        alloc: &mut PointerAlloc,
-        op: LeafOp,
-    ) -> f32 {
-        stats.count_visit();
-        if level == 0 {
-            let new = match op {
-                LeafOp::Observe { occupied } => params.apply(node.log_odds(), occupied),
-                LeafOp::Add { delta } => params.clamp(node.log_odds() + delta),
-                LeafOp::Set { value } => params.clamp(value),
-            };
-            node.set_log_odds(new);
-            stats.count_leaf_update();
-            return new;
-        }
-
-        let child_idx = key.child_index(level - 1);
-        if !is_fresh && !node.has_children() {
-            // This childless inner node is a pruned aggregate: expand it so
-            // the sibling octants keep their value.
-            node.expand();
-            alloc.nodes += 8;
-            alloc.blocks += 1;
-            stats.count_expansion();
-            stats.count_visits(8);
-        }
-        let had_children = node.has_children();
-        let (child, created) = node.child_or_create(child_idx, params.threshold);
-        if created {
-            stats.count_created();
-            alloc.nodes += 1;
-            if !had_children {
-                alloc.blocks += 1;
-            }
-        }
-        let leaf_value = Self::update_recurs(
-            child,
-            created,
+        self.nodes.apply_at_leaf(
             key,
-            level - 1,
-            params,
-            stats,
-            auto_prune,
-            alloc,
+            self.grid.depth(),
+            &self.params,
+            &self.stats,
+            self.auto_prune,
             op,
-        );
-
-        // Unwind: refresh this node from its children (the paper's
-        // "trace-back from N_u to the root"), prune when possible.
-        stats.count_visit();
-        if auto_prune && node.is_prunable() {
-            node.prune();
-            alloc.nodes -= 8;
-            alloc.blocks -= 1;
-            stats.count_prune();
-        } else if let Some(max) = node.max_child_log_odds() {
-            node.set_log_odds(max);
-        }
-        leaf_value
+        )
     }
 
     /// Looks up the log-odds at `key`, descending until a leaf or pruned
     /// aggregate covers it. `None` means the voxel is in unknown space.
     pub fn search(&self, key: VoxelKey) -> Option<f32> {
         self.stats.count_query();
-        match &self.storage {
-            Storage::Pointer { root, .. } => {
-                let mut node = root.as_deref()?;
-                self.stats.count_visit();
-                let mut level = self.grid.depth();
-                while level > 0 {
-                    if !node.has_children() {
-                        // Pruned aggregate covering this voxel — but
-                        // distinguish the "fresh root" case where nothing
-                        // was ever inserted.
-                        return Some(node.log_odds());
-                    }
-                    node = node.child(key.child_index(level - 1))?;
-                    self.stats.count_visit();
-                    level -= 1;
-                }
-                Some(node.log_odds())
-            }
-            Storage::Arena(a) => a.search(key, self.grid.depth(), &self.stats),
-        }
+        self.nodes.search(key, self.grid.depth(), &self.stats)
     }
 
     /// Occupancy decision at `key`: `Some(true)` occupied, `Some(false)`
@@ -450,41 +227,14 @@ impl OccupancyOcTree {
     /// Prunes the whole tree bottom-up (useful after bulk updates with
     /// auto-prune disabled).
     pub fn prune(&mut self) {
-        let depth = self.grid.depth();
-        match &mut self.storage {
-            Storage::Pointer { root, alloc } => {
-                if let Some(root) = root.as_deref_mut() {
-                    Self::prune_recurs(root, depth, &self.stats, alloc);
-                }
-            }
-            Storage::Arena(a) => a.prune(depth, &self.stats),
-        }
-    }
-
-    fn prune_recurs(node: &mut OcTreeNode, level: u8, stats: &TreeStats, alloc: &mut PointerAlloc) {
-        if level == 0 || !node.has_children() {
-            return;
-        }
-        for i in ChildIndex::all() {
-            if let Some(c) = node.child_mut(i) {
-                Self::prune_recurs(c, level - 1, stats, alloc);
-            }
-        }
-        if node.is_prunable() {
-            node.prune();
-            alloc.nodes -= 8;
-            alloc.blocks -= 1;
-            stats.count_prune();
-        } else if let Some(max) = node.max_child_log_odds() {
-            node.set_log_odds(max);
-        }
+        self.nodes.prune(self.grid.depth(), &self.stats);
     }
 
     /// FNV-1a checksum over the leaf set `(key, level, log-odds bits)`.
     ///
-    /// The sum is independent of the storage layout and of pointer identity:
-    /// two trees holding the same pruned leaf structure with bit-identical
-    /// log-odds produce the same checksum regardless of how they were built.
+    /// The sum is independent of node placement in the pool: two trees
+    /// holding the same pruned leaf structure with bit-identical log-odds
+    /// produce the same checksum regardless of how they were built.
     /// It is embedded in the v2 map footer ([`crate::io`]) and is the
     /// bit-match oracle for crash recovery (`octocache::durable`).
     pub fn leaf_checksum(&self) -> u64 {
@@ -545,19 +295,8 @@ impl OccupancyOcTree {
             }
             Ok(())
         }
-        // Layout-level structure first: allocation counters must match the
-        // actual tree (pointer), block bookkeeping must balance (arena).
-        match &self.storage {
-            Storage::Pointer { root, alloc } => {
-                let actual = PointerAlloc::recount(root.as_deref());
-                if *alloc != actual {
-                    return Err(format!(
-                        "allocation counters drifted: tracked {alloc:?}, actual {actual:?}"
-                    ));
-                }
-            }
-            Storage::Arena(a) => a.check_structure()?,
-        }
+        // Pool structure first: block bookkeeping must balance.
+        self.nodes.check_structure()?;
         match self.root_ref() {
             None => Ok(()),
             Some(root) => {
@@ -575,11 +314,9 @@ impl OccupancyOcTree {
     /// top-level octants (as the shards of a spatially-partitioned map do).
     /// The root value is refreshed afterwards.
     ///
-    /// Pointer trees deep-clone the spliced subtrees; arena trees splice by
-    /// child-block reindexing (whole eight-child blocks copied into the
-    /// pool, indices rewritten) rather than node-by-node re-insertion. A
-    /// tree merged from a differently-laid-out `other` converts the spliced
-    /// subtrees on the fly; `self`'s layout never changes.
+    /// Subtrees are spliced by child-block reindexing (whole eight-child
+    /// blocks copied into the pool, indices rewritten) rather than
+    /// node-by-node re-insertion.
     ///
     /// # Errors
     ///
@@ -587,42 +324,7 @@ impl OccupancyOcTree {
     /// or when either tree is pruned all the way to a childless root while
     /// the other holds data (the octant ownership is then ambiguous).
     pub fn merge_disjoint_top_level(&mut self, other: &OccupancyOcTree) -> Result<(), String> {
-        let threshold = self.params.threshold;
-        match &mut self.storage {
-            Storage::Pointer { root, alloc } => {
-                let Some(other_root) = other.root_ref() else {
-                    return Ok(()); // nothing to merge
-                };
-                if root.is_none() {
-                    *root = Some(Box::new(other_root.to_owned_node()));
-                    *alloc = PointerAlloc::recount(root.as_deref());
-                    return Ok(());
-                }
-                let self_root = root.as_deref_mut().expect("checked above");
-                if !other_root.has_children() || !self_root.has_children() {
-                    return Err("cannot merge trees pruned to a childless root".into());
-                }
-                for (i, child) in other_root.children() {
-                    if self_root.child(i).is_some() {
-                        return Err(format!("both trees populate top-level octant {i}"));
-                    }
-                    let (slot, _) = self_root.child_or_create(i, threshold);
-                    *slot = child.to_owned_node();
-                }
-                if let Some(max) = self_root.max_child_log_odds() {
-                    self_root.set_log_odds(max);
-                }
-                *alloc = PointerAlloc::recount(root.as_deref());
-                Ok(())
-            }
-            Storage::Arena(a) => match &other.storage {
-                Storage::Arena(b) => a.merge_disjoint_top_level(b),
-                Storage::Pointer { root, .. } => {
-                    let converted = ArenaTree::from_pointer(root.as_deref());
-                    a.merge_disjoint_top_level(&converted)
-                }
-            },
-        }
+        self.nodes.merge_disjoint_top_level(&other.nodes)
     }
 
     /// Iterates over the leaves whose cubes intersect the key-space box
@@ -685,7 +387,8 @@ impl OccupancyOcTree {
     }
 }
 
-/// A leaf-level mutation, shared between both storage layouts.
+/// A leaf-level mutation: what [`ArenaTree::apply_at_leaf`] does at the
+/// end of its descent.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LeafOp {
     Observe { occupied: bool },
@@ -693,29 +396,22 @@ pub(crate) enum LeafOp {
     Set { value: f32 },
 }
 
-/// A layout-independent shared reference to one tree node: either a plain
-/// `&OcTreeNode` or an index into an arena pool. `Copy`, so traversals
-/// (leaves, io, invariant checks, multi-resolution queries) are written
-/// once and run over either layout.
+/// A `Copy` shared reference to one pooled node, so traversals (leaves, io,
+/// invariant checks, multi-resolution queries) walk the tree without
+/// touching pool indices.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum NodeRef<'a> {
-    Pointer(&'a OcTreeNode),
-    Arena { tree: &'a ArenaTree, idx: u32 },
+pub(crate) struct NodeRef<'a> {
+    tree: &'a ArenaTree,
+    idx: u32,
 }
 
 impl<'a> NodeRef<'a> {
     pub(crate) fn log_odds(self) -> f32 {
-        match self {
-            NodeRef::Pointer(n) => n.log_odds(),
-            NodeRef::Arena { tree, idx } => tree.log_odds(idx),
-        }
+        self.tree.log_odds(self.idx)
     }
 
     pub(crate) fn child_mask(self) -> u8 {
-        match self {
-            NodeRef::Pointer(n) => n.child_mask(),
-            NodeRef::Arena { tree, idx } => tree.child_mask(idx),
-        }
+        self.tree.child_mask(self.idx)
     }
 
     pub(crate) fn has_children(self) -> bool {
@@ -723,12 +419,12 @@ impl<'a> NodeRef<'a> {
     }
 
     pub(crate) fn child(self, i: ChildIndex) -> Option<NodeRef<'a>> {
-        match self {
-            NodeRef::Pointer(n) => n.child(i).map(NodeRef::Pointer),
-            NodeRef::Arena { tree, idx } => tree
-                .child_of(idx, i.as_usize())
-                .map(|c| NodeRef::Arena { tree, idx: c }),
-        }
+        self.tree
+            .child_of(self.idx, i.as_usize())
+            .map(|idx| NodeRef {
+                tree: self.tree,
+                idx,
+            })
     }
 
     pub(crate) fn children(self) -> impl Iterator<Item = (ChildIndex, NodeRef<'a>)> {
@@ -736,25 +432,7 @@ impl<'a> NodeRef<'a> {
     }
 
     pub(crate) fn max_child_log_odds(self) -> Option<f32> {
-        self.children()
-            .map(|(_, c)| c.log_odds())
-            .fold(None, |acc, v| {
-                Some(match acc {
-                    Some(a) => a.max(v),
-                    None => v,
-                })
-            })
-    }
-
-    /// Deep-clones the referenced subtree into pointer form.
-    pub(crate) fn to_owned_node(self) -> OcTreeNode {
-        let mut out = OcTreeNode::new(self.log_odds());
-        for (i, child) in self.children() {
-            let sub = child.to_owned_node();
-            let (slot, _) = out.child_or_create(i, sub.log_odds());
-            *slot = sub;
-        }
-        out
+        self.tree.max_child(self.idx)
     }
 }
 
@@ -897,36 +575,32 @@ mod tests {
 
     #[test]
     fn deep_clone_is_independent_and_identical() {
-        for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-            let grid = VoxelGrid::new(1.0, 4).unwrap();
-            let mut tree = OccupancyOcTree::with_layout(grid, OccupancyParams::default(), layout);
-            for i in 0..40u16 {
-                tree.update_node(
-                    VoxelKey::new(i % 16, (i * 7) % 16, (i * 3) % 16),
-                    i % 3 != 0,
-                );
-            }
-            let snap = tree.deep_clone();
-            assert_eq!(snap.layout(), layout);
-            assert_eq!(snap.num_nodes(), tree.num_nodes());
-            // (memory_usage may differ: the clone has no pool slack.)
-            assert!(snap.memory_usage() > 0);
-            snap.check_invariants().unwrap();
-            let before: Vec<LeafEntry> = snap.leaves().collect();
-            // Mutating the original must not leak into the clone…
-            for i in 0..16u16 {
-                tree.update_node(VoxelKey::new(i, i, i), true);
-            }
-            let after: Vec<LeafEntry> = snap.leaves().collect();
-            assert_eq!(before, after, "{layout:?}: clone observed a mutation");
-            // …and the clone answers exactly what the original answered.
-            for i in 0..40u16 {
-                let key = VoxelKey::new(i % 16, (i * 7) % 16, (i * 3) % 16);
-                assert!(snap.search(key).is_some(), "{layout:?}: {key} lost");
-            }
-            // Snapshot counters start at zero (queries above notwithstanding).
-            assert_eq!(snap.stats().leaf_updates(), 0);
+        let mut tree = small_tree();
+        for i in 0..40u16 {
+            tree.update_node(
+                VoxelKey::new(i % 16, (i * 7) % 16, (i * 3) % 16),
+                i % 3 != 0,
+            );
         }
+        let snap = tree.deep_clone();
+        assert_eq!(snap.num_nodes(), tree.num_nodes());
+        // (memory_usage may differ: the clone has no pool slack.)
+        assert!(snap.memory_usage() > 0);
+        snap.check_invariants().unwrap();
+        let before: Vec<LeafEntry> = snap.leaves().collect();
+        // Mutating the original must not leak into the clone…
+        for i in 0..16u16 {
+            tree.update_node(VoxelKey::new(i, i, i), true);
+        }
+        let after: Vec<LeafEntry> = snap.leaves().collect();
+        assert_eq!(before, after, "clone observed a mutation");
+        // …and the clone answers exactly what the original answered.
+        for i in 0..40u16 {
+            let key = VoxelKey::new(i % 16, (i * 7) % 16, (i * 3) % 16);
+            assert!(snap.search(key).is_some(), "{key} lost");
+        }
+        // Snapshot counters start at zero (queries above notwithstanding).
+        assert_eq!(snap.stats().leaf_updates(), 0);
     }
 
     #[test]
@@ -1145,95 +819,55 @@ mod tests {
 
     #[test]
     fn memory_usage_tracks_allocation_across_insert_prune_clear() {
-        for layout in TreeLayout::ALL {
-            let grid = VoxelGrid::new(1.0, 4).unwrap();
-            let mut tree = OccupancyOcTree::with_layout(grid, OccupancyParams::default(), layout);
-            assert_eq!(tree.memory_usage(), 0, "{layout}: empty tree owns nothing");
+        let mut tree = small_tree();
+        assert_eq!(tree.memory_usage(), 0, "empty tree owns nothing");
 
-            // Insert with pruning off so the full octant stays expanded.
-            tree.set_auto_prune(false);
-            for x in 0..2u16 {
-                for y in 0..2u16 {
-                    for z in 0..2u16 {
-                        for _ in 0..10 {
-                            tree.update_node(VoxelKey::new(x, y, z), true);
-                        }
+        // Insert with pruning off so the full octant stays expanded.
+        tree.set_auto_prune(false);
+        for x in 0..2u16 {
+            for y in 0..2u16 {
+                for z in 0..2u16 {
+                    for _ in 0..10 {
+                        tree.update_node(VoxelKey::new(x, y, z), true);
                     }
                 }
             }
-            let grown = tree.memory_usage();
-            assert!(grown > 0, "{layout}: inserts must grow the footprint");
-            tree.check_invariants().unwrap();
-
-            tree.prune();
-            tree.check_invariants().unwrap();
-            let pruned = tree.memory_usage();
-            match layout {
-                // The pointer tree returns pruned boxes and child arrays to
-                // the allocator.
-                TreeLayout::Pointer => {
-                    assert!(
-                        pruned < grown,
-                        "pointer: prune must shrink ({pruned} >= {grown})"
-                    )
-                }
-                // The arena keeps pruned blocks resident on its free-list —
-                // that slack is deliberate (recycling) and must stay
-                // counted. Free-list bookkeeping may add a few bytes but the
-                // pool itself never shrinks.
-                TreeLayout::Arena => {
-                    assert!(
-                        pruned >= grown,
-                        "arena: prune keeps pool capacity ({pruned} < {grown})"
-                    )
-                }
-            }
-
-            tree.clear();
-            assert_eq!(
-                tree.memory_usage(),
-                0,
-                "{layout}: clear releases everything"
-            );
         }
+        let grown = tree.memory_usage();
+        assert!(grown > 0, "inserts must grow the footprint");
+        tree.check_invariants().unwrap();
+
+        tree.prune();
+        tree.check_invariants().unwrap();
+        // The pool keeps pruned blocks resident on its free-list — that
+        // slack is deliberate (recycling) and must stay counted. Free-list
+        // bookkeeping may add a few bytes but the pool itself never shrinks.
+        let pruned = tree.memory_usage();
+        assert!(
+            pruned >= grown,
+            "prune keeps pool capacity ({pruned} < {grown})"
+        );
+
+        tree.clear();
+        assert_eq!(tree.memory_usage(), 0, "clear releases everything");
     }
 
     #[test]
-    fn layouts_agree_on_maps_and_counters() {
-        let grid = VoxelGrid::new(1.0, 4).unwrap();
-        let mut pointer =
-            OccupancyOcTree::with_layout(grid, OccupancyParams::default(), TreeLayout::Pointer);
-        let mut arena =
-            OccupancyOcTree::with_layout(grid, OccupancyParams::default(), TreeLayout::Arena);
-        assert_eq!(pointer.layout(), TreeLayout::Pointer);
-        assert_eq!(arena.layout(), TreeLayout::Arena);
-        let keys = [
-            VoxelKey::new(0, 0, 0),
-            VoxelKey::new(1, 1, 1),
-            VoxelKey::new(15, 15, 15),
-            VoxelKey::new(7, 8, 9),
-            VoxelKey::new(1, 1, 1),
-        ];
-        for (n, &k) in keys.iter().enumerate() {
-            let a = pointer.update_node(k, n % 2 == 0);
-            let b = arena.update_node(k, n % 2 == 0);
-            assert_eq!(a, b);
-        }
-        assert_eq!(pointer.num_nodes(), arena.num_nodes());
-        assert_eq!(pointer.num_leaves(), arena.num_leaves());
-        let sp = pointer.stats().snapshot();
-        let sa = arena.stats().snapshot();
-        assert_eq!(sp.node_visits, sa.node_visits);
-        assert_eq!(sp.nodes_created, sa.nodes_created);
-        assert_eq!(sp.leaf_updates, sa.leaf_updates);
-        for x in 0..16u16 {
-            for y in 0..16u16 {
-                let k = VoxelKey::new(x, y, (x + y) % 16);
-                assert_eq!(pointer.search(k), arena.search(k), "{k}");
-            }
-        }
-        pointer.check_invariants().unwrap();
-        arena.check_invariants().unwrap();
+    fn fresh_insert_costs_one_root_to_leaf_round_trip() {
+        // Reference OctoMap's recursion on an empty depth-4 tree: five
+        // descent visits (levels 4..=0), four unwind visits, five nodes
+        // created. The paper's per-update cost model (§3.2) is this count.
+        let mut tree = small_tree();
+        tree.update_node(VoxelKey::new(3, 3, 3), true);
+        let s = tree.stats().snapshot();
+        assert_eq!(s.node_visits, 9);
+        assert_eq!(s.nodes_created, 5);
+        assert_eq!(s.leaf_updates, 1);
+        // A second update of the same voxel creates nothing.
+        tree.update_node(VoxelKey::new(3, 3, 3), true);
+        let s = tree.stats().snapshot();
+        assert_eq!(s.node_visits, 18);
+        assert_eq!(s.nodes_created, 5);
     }
 
     #[test]
