@@ -6,11 +6,10 @@
 //!   synthetic scan log (datasets: `fr079-corridor`, `freiburg-campus`,
 //!   `new-college`).
 //! * `build <in.scanlog> <out.map> [--backend B] [--resolution R]
-//!   [--buckets N] [--tau T] [--workers N] [--trace out.jsonl]` — build
-//!   an occupancy map (backends: `octomap`, `octomap-rt`, `serial`,
-//!   `serial-rt`, `parallel`, `parallel-rt`), printing per-phase timings
-//!   and cache statistics; `--workers N` (1, 2, 4 or 8; parallel backends
-//!   only) selects the number of octree-update workers; `--trace` streams
+//!   [--buckets N] [--tau T] [--trace out.jsonl]` — build an occupancy
+//!   map (backends: `octomap`, `octomap-rt`, `serial`, `serial-rt`,
+//!   `parallel`, `parallel-rt`), printing per-phase timings and cache
+//!   statistics; `--trace` streams
 //!   one JSON scan record per line to a file; `--events` records the
 //!   sub-scan event stream (cache hit/miss/evict, queue traffic, worker
 //!   batch spans) to a JSONL file for `analyze`.
@@ -22,8 +21,8 @@
 //!   recorded event stream, plus a Chrome Trace Event Format export
 //!   loadable in `chrome://tracing` or Perfetto.
 //! * `info <map>` — structural statistics of a serialised map, plus an
-//!   `engine` line (executor, workers, config digest)
-//!   identifying the execution configuration the backend flags select.
+//!   `engine` line (executor, config digest) identifying the execution
+//!   configuration the backend flags select.
 //! * `query <map> [<x> <y> <z>] [--ray O:D] [--batch points.txt]
 //!   [--box MIN:MAX]` — read queries answered through the snapshot query
 //!   engine ([`octocache::MapSnapshot`]): point occupancy, ray casting,
@@ -160,10 +159,10 @@ fn usage() -> String {
 
 USAGE:
   octocache generate <dataset> <out.scanlog> [--scale S] [--seed N]
-  octocache build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T] [--workers N] [--format ot|bt] [--trace out.jsonl] [--events out.jsonl] [--strict] [--fault SPEC] [--journal DIR] [--checkpoint-every N] [--mem-budget BYTES] [--max-restarts N] [--shed-deadline MS]
+  octocache build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T] [--format ot|bt] [--trace out.jsonl] [--events out.jsonl] [--strict] [--fault SPEC] [--journal DIR] [--checkpoint-every N] [--mem-budget BYTES] [--max-restarts N] [--shed-deadline MS]
   octocache report <trace.jsonl> [--json]
   octocache analyze <events.jsonl> [--trace-out trace.json]
-  octocache info <map> [--backend B] [--workers N] [--buckets N] [--tau T]
+  octocache info <map> [--backend B] [--buckets N] [--tau T]
   octocache query <map> [<x> <y> <z>] [--ray OX,OY,OZ:DX,DY,DZ] [--max-range R] [--ignore-unknown] [--batch points.txt] [--box MINX,MINY,MINZ:MAXX,MAXY,MAXZ]
   octocache diff <map_a> <map_b>
   octocache recover <journal-dir> [<out.map>] [--format ot|bt]
@@ -292,7 +291,6 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
             "resolution",
             "buckets",
             "tau",
-            "workers",
             "format",
             "trace",
             "events",
@@ -307,7 +305,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     )?;
     let [in_path, out_path] = pos.as_slice() else {
         return Err(
-            "usage: build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T] [--workers N]"
+            "usage: build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T]"
                 .into(),
         );
     };
@@ -392,23 +390,6 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     }
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
     let backend_name = flag(&flags, "backend").unwrap_or("serial");
-    let workers = match flag(&flags, "workers") {
-        Some(s) => {
-            let n = parse_usize(s, "--workers")?;
-            if !matches!(n, 1 | 2 | 4 | 8) {
-                return Err(CliError::Usage(format!(
-                    "--workers must be 1, 2, 4 or 8, got {n}"
-                )));
-            }
-            if !matches!(backend_name, "parallel" | "parallel-rt") {
-                return Err(CliError::Usage(format!(
-                    "--workers only applies to the parallel backends, not `{backend_name}`"
-                )));
-            }
-            n
-        }
-        None => 1,
-    };
     let params = OccupancyParams::default();
     // OctoMapSystem takes no CacheConfig, so its event switch is a method.
     let octomap_with = |rt: RayTracer| {
@@ -428,19 +409,12 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
             cache,
             RayTracer::Dedup,
         )),
-        "parallel" => Box::new(ParallelOctoCache::with_workers(
-            grid,
-            params,
-            cache,
-            RayTracer::Standard,
-            workers,
-        )),
-        "parallel-rt" => Box::new(ParallelOctoCache::with_workers(
+        "parallel" => Box::new(ParallelOctoCache::new(grid, params, cache)),
+        "parallel-rt" => Box::new(ParallelOctoCache::with_ray_tracer(
             grid,
             params,
             cache,
             RayTracer::Dedup,
-            workers,
         )),
         other => return Err(CliError::Usage(format!("unknown backend `{other}`"))),
     };
@@ -772,9 +746,9 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_info(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args, &["backend", "workers", "buckets", "tau"])?;
+    let (pos, flags) = parse_flags(args, &["backend", "buckets", "tau"])?;
     let [path] = pos.as_slice() else {
-        return Err("usage: info <map> [--backend B] [--workers N] [--buckets N] [--tau T]".into());
+        return Err("usage: info <map> [--backend B] [--buckets N] [--tau T]".into());
     };
     let tree = load_map(path)?;
     let mut out = String::new();
@@ -794,8 +768,8 @@ fn cmd_info(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Describes the scan-lifecycle engine a `build` with the same flags would
-/// run: the executor driven by `core::engine`, its worker count and the
-/// cache-geometry digest — enough for a trace or a
+/// run: the executor driven by `core::engine` and the cache-geometry
+/// digest — enough for a trace or a
 /// bug report to pin down the exact execution configuration. Flags and
 /// defaults mirror `cmd_build`.
 fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
@@ -809,23 +783,6 @@ fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
             "unknown backend `{other}` (octomap|octomap-rt|serial|serial-rt|parallel|parallel-rt)"
         )))
         }
-    };
-    let workers = match flag(flags, "workers") {
-        Some(s) => {
-            let n = parse_usize(s, "--workers")?;
-            if !matches!(n, 1 | 2 | 4 | 8) {
-                return Err(CliError::Usage(format!(
-                    "--workers must be 1, 2, 4 or 8, got {n}"
-                )));
-            }
-            if !matches!(backend_name, "parallel" | "parallel-rt") {
-                return Err(CliError::Usage(format!(
-                    "--workers only applies to the parallel backends, not `{backend_name}`"
-                )));
-            }
-            n
-        }
-        None => 1,
     };
     let buckets = match flag(flags, "buckets") {
         Some(s) => parse_usize(s, "--buckets")?,
@@ -841,7 +798,7 @@ fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
         .tau(tau);
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
     Ok(format!(
-        "executor={executor} workers={workers} config-digest={:016x}",
+        "executor={executor} config-digest={:016x}",
         cache.digest()
     ))
 }
@@ -1105,26 +1062,18 @@ mod tests {
         let info = run(&s(&["info", &map_a])).unwrap();
         assert!(info.contains("nodes:"), "{info}");
         assert!(info.contains("resolution: 0.4"), "{info}");
-        // Default engine description: serial executor, one worker, and a
-        // config digest pinning the cache geometry.
+        // Default engine description: serial executor and a config digest
+        // pinning the cache geometry.
         assert!(
-            info.contains("engine: executor=SerialExecutor workers=1"),
+            info.contains("engine: executor=SerialExecutor config-digest="),
             "{info}"
         );
         assert!(info.contains("config-digest="), "{info}");
 
         // The engine line mirrors `build`'s backend flags.
-        let info_par = run(&s(&[
-            "info",
-            &map_a,
-            "--backend",
-            "parallel",
-            "--workers",
-            "4",
-        ]))
-        .unwrap();
+        let info_par = run(&s(&["info", &map_a, "--backend", "parallel"])).unwrap();
         assert!(
-            info_par.contains("engine: executor=ParallelExecutor workers=4"),
+            info_par.contains("engine: executor=ParallelExecutor config-digest="),
             "{info_par}"
         );
         // Same geometry, same digest — regardless of backend choice.
@@ -1139,9 +1088,6 @@ mod tests {
         // Different cache geometry changes the digest.
         let info_big = run(&s(&["info", &map_a, "--buckets", "32768"])).unwrap();
         assert_ne!(digest(&info), digest(&info_big));
-        // `--workers` stays parallel-only, as in `build`.
-        let err = run(&s(&["info", &map_a, "--workers", "4"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
 
         // A corridor interior point is free.
         let q = run(&s(&["query", &map_a, "1.0", "0.0", "1.4"])).unwrap();
@@ -1269,58 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn build_with_workers_sweeps_and_matches_serial() {
-        let log = temp_path("workers.scanlog");
-        run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
-        let map_serial = temp_path("workers-serial.map");
-        run(&s(&[
-            "build",
-            &log,
-            &map_serial,
-            "--backend",
-            "serial",
-            "--resolution",
-            "0.4",
-        ]))
-        .unwrap();
-        for n in ["1", "2", "4"] {
-            let map = temp_path(&format!("workers-{n}.map"));
-            let trace = temp_path(&format!("workers-{n}.jsonl"));
-            let out = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                "parallel",
-                "--workers",
-                n,
-                "--resolution",
-                "0.4",
-                "--trace",
-                &trace,
-            ]))
-            .unwrap();
-            assert!(out.contains("built"), "{out}");
-            // The trace carries one queue-depth / shard-size entry per
-            // worker, and the merged map matches the serial build exactly.
-            let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
-            let workers: usize = n.parse().unwrap();
-            assert!(records
-                .iter()
-                .all(|r| r.worker_queue_depths.len() == workers
-                    && r.shard_batch_sizes.len() == workers));
-            let expected = if workers == 1 {
-                "octocache-parallel".to_string()
-            } else {
-                format!("octocache-parallelx{workers}")
-            };
-            assert!(records.iter().all(|r| r.backend == expected));
-            let d = run(&s(&["diff", &map_serial, &map])).unwrap();
-            assert!(d.contains("identical: yes"), "workers={n}: {d}");
-        }
-    }
-
-    #[test]
     fn build_backends_produce_identical_maps() {
         let log = temp_path("backends.scanlog");
         run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
@@ -1351,44 +1245,25 @@ mod tests {
             ]))
             .unwrap();
             assert!(out.contains("KiB resident"), "{backend}: {out}");
+            let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
             // The uncached baseline grows its tree from scan one; the cached
             // backends may hold everything in the cache until finish().
             if backend == "octomap" {
-                let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
                 assert!(records.last().unwrap().memory_bytes > 0, "{backend}");
+            }
+            // The parallel trace carries one queue-depth entry for its one
+            // octree worker.
+            if backend == "parallel" {
+                assert!(
+                    records
+                        .iter()
+                        .all(|r| r.backend == "octocache-parallel"
+                            && r.worker_queue_depths.len() == 1)
+                );
             }
             let d = run(&s(&["diff", &map_serial, &map])).unwrap();
             assert!(d.contains("identical: yes"), "{backend}: {d}");
         }
-    }
-
-    #[test]
-    fn build_rejects_bad_worker_counts() {
-        let log = temp_path("badworkers.scanlog");
-        run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
-        let map = temp_path("badworkers.map");
-        let err = run(&s(&[
-            "build",
-            &log,
-            &map,
-            "--backend",
-            "parallel",
-            "--workers",
-            "3",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("must be 1, 2, 4 or 8"), "{err}");
-        let err = run(&s(&[
-            "build",
-            &log,
-            &map,
-            "--backend",
-            "serial",
-            "--workers",
-            "2",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("parallel backends"), "{err}");
     }
 
     #[test]
@@ -1621,8 +1496,6 @@ mod tests {
             &map,
             "--backend",
             "parallel",
-            "--workers",
-            "2",
             "--resolution",
             "0.4",
             "--buckets",
@@ -1652,7 +1525,7 @@ mod tests {
         }
 
         // The exported file is valid Chrome Trace Event Format JSON with at
-        // least one complete ("X") span on every worker lane plus thread
+        // least one complete ("X") span on the worker lane plus thread
         // metadata.
         let json = std::fs::read_to_string(&chrome).unwrap();
         let doc: serde::Value = serde::json::from_str(&json).unwrap();
@@ -1666,22 +1539,20 @@ mod tests {
                 .any(|e| e.get("ph").and_then(serde::Value::as_str) == Some("M")),
             "no metadata events"
         );
-        for lane in [1u64, 2] {
-            assert!(
-                entries.iter().any(|e| {
-                    e.get("ph").and_then(serde::Value::as_str) == Some("X")
-                        && e.get("tid").and_then(serde::Value::as_u64) == Some(lane)
-                }),
-                "no complete span for worker lane {lane}"
-            );
-        }
+        assert!(
+            entries.iter().any(|e| {
+                e.get("ph").and_then(serde::Value::as_str) == Some("X")
+                    && e.get("tid").and_then(serde::Value::as_u64) == Some(1)
+            }),
+            "no complete span for worker lane 1"
+        );
 
         // `report --json` on the scan trace is machine-readable.
         let out = run(&s(&["report", &trace, "--json"])).unwrap();
         let doc: serde::Value = serde::json::from_str(&out).unwrap();
         assert_eq!(
             doc.get("backend").and_then(serde::Value::as_str),
-            Some("octocache-parallelx2")
+            Some("octocache-parallel")
         );
         assert!(doc
             .get("hit_ratio")
@@ -1854,6 +1725,8 @@ mod tests {
             &["analyze", "x.jsonl", "--frob", "1"],
             &["info", "x.map", "--frob", "1"],
             &["info", "x.map", "--tree-layout", "arena"],
+            &["build", "x.scanlog", "x.map", "--workers", "2"],
+            &["info", "x.map", "--workers", "2"],
             &["query", "x.map", "1", "2", "3", "--frob", "1"],
             &["diff", "a.map", "b.map", "--frob", "1"],
             &["recover", "dir", "--tree-layout", "arena"],

@@ -1,7 +1,7 @@
 //! The unified scan-lifecycle engine shared by every mapping backend.
 //!
 //! Historically each backend (OctoMap baseline, serial OctoCache, octant-
-//! sharded OctoMap, N-worker parallel OctoCache) carried its own copy of
+//! sharded OctoMap, parallel OctoCache) carried its own copy of
 //! the scan lifecycle: telemetry sequencing, snapshot republish, per-scan
 //! [`ScanRecord`] assembly, durable-latency stamping and the final flush.
 //! This module owns that lifecycle once. A backend now only implements

@@ -1,10 +1,10 @@
 //! Typed pipeline failures, map-integrity reporting, and deterministic
 //! fault injection for the parallel pipeline.
 //!
-//! The parallel OctoCache moves octree updates onto worker threads, which
-//! introduces failure modes the serial backends cannot have: a worker can
-//! panic mid-batch, wedge while holding its shard mutex, or never spawn at
-//! all. This module gives those failures names ([`PipelineError`]), gives
+//! The parallel OctoCache moves octree updates onto a worker thread, which
+//! introduces failure modes the serial backends cannot have: the worker
+//! can panic mid-batch, wedge while holding the octree mutex, or never
+//! spawn at all. This module gives those failures names ([`PipelineError`]), gives
 //! the map a verdict after they happen ([`Integrity`]), counts them
 //! ([`FaultCounters`]), and — under `cfg(any(test, feature =
 //! "fault-injection"))` — lets tests schedule them deterministically
@@ -378,7 +378,9 @@ pub struct KillEvery {
 /// [`crate::CacheConfigBuilder::fault_plan`]); the hooks that act on it
 /// are compiled only under `cfg(any(test, feature = "fault-injection"))`
 /// and are zero-cost no-ops otherwise. Worker indices are taken modulo the
-/// actual worker count, so one plan is meaningful at every N ∈ {1,2,4,8}.
+/// worker count, which is one: every index (including the ones
+/// [`FaultPlan::from_seed`] draws from 0..8) addresses the pipeline's
+/// single octree worker, so every seed yields a live plan.
 ///
 /// The CLI derives a plan from the `OCTO_FAULT` environment variable (or
 /// `--fault`); embedders can call [`FaultPlan::from_env`] themselves.

@@ -73,7 +73,7 @@ pub use engine::{Engine, FlushTimes, ScanExecutor, ScanOutput};
 pub use fault::{
     FaultCounters, FaultPlan, Integrity, IntegrityState, IntegrityTransition, PipelineError,
 };
-pub use parallel::{ParallelOctoCache, ShardView};
+pub use parallel::ParallelOctoCache;
 pub use pipeline::MappingSystem;
 pub use query::{
     LiveMap, MapSnapshot, OccupancyView, PublishStats, QueryHandle, SnapshotPublisher,

@@ -49,7 +49,7 @@ use crate::pipeline::MappingSystem;
 /// any synchronisation at all — `OccupancyOcTree` reads are `&self` and the
 /// tree is `Sync`. Values are bit-identical to what the owning backend's
 /// locked query path would return at the same scan boundary (verified by
-/// `tests/query_consistency.rs` across every backend × worker count).
+/// `tests/query_consistency.rs` across every backend).
 #[derive(Debug)]
 pub struct MapSnapshot {
     tree: OccupancyOcTree,

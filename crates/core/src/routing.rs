@@ -1,13 +1,12 @@
-//! Octant routing shared by the sharded baseline and the N-worker parallel
-//! pipeline.
+//! Octant routing for the sharded baseline.
 //!
-//! Both [`crate::sharded::ShardedOctoMap`] and the N-worker
-//! [`crate::parallel::ParallelOctoCache`] partition the key space by
-//! top-level octant: a voxel's shard is the low `shard_bits` bits of its
-//! root-level child index. Keeping the mapping in one place guarantees the
-//! two backends can never drift — the differential test suite compares
-//! their merged trees voxel for voxel, and a routing mismatch would make
-//! [`octocache_octomap::OccupancyOcTree::merge_disjoint_top_level`] fail.
+//! [`crate::sharded::ShardedOctoMap`] — the paper's naive octree-sharding
+//! baseline (Table 1) — partitions the key space by top-level octant: a
+//! voxel's shard is the low `shard_bits` bits of its root-level child
+//! index. Shards are therefore disjoint, so their trees merge structurally
+//! with [`octocache_octomap::OccupancyOcTree::merge_disjoint_top_level`];
+//! the differential test suite compares the merged tree voxel for voxel
+//! against OctoMap.
 
 use octocache_geom::{VoxelGrid, VoxelKey};
 

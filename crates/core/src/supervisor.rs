@@ -3,13 +3,13 @@
 //!
 //! PR 3 gave the parallel pipeline a *failure* model — typed faults, an
 //! integrity verdict, deterministic injection — whose answer to every
-//! fault was to degrade and limp: a dead worker's octants are served
+//! fault was to degrade and limp: a dead worker's batches are applied
 //! inline for the rest of the run. This module adds the *recovery* model
 //! (DESIGN.md §7):
 //!
 //! * [`RestartPolicy`] bounds how often the pipeline may respawn a dead
 //!   worker. The respawn itself lives in `parallel.rs` (it needs the
-//!   retained per-shard trees); the policy and the healed-integrity
+//!   worker's octree and retained batch); the policy and the healed-integrity
 //!   bookkeeping live here.
 //! * [`MemoryGovernor`] walks a graduated pressure ladder against the
 //!   configured memory budget ([`CacheConfig::mem_budget`]): tighten
@@ -62,12 +62,12 @@ impl SupervisorParams {
 /// How many times, and how eagerly, the supervisor respawns dead workers.
 ///
 /// Derived from [`CacheConfig`](crate::CacheConfig) (`max_restarts`,
-/// `restart_backoff`). The budget is **per worker**: a chaos workload that
-/// kills worker 0 five times under `max_restarts = 3` gets three heals and
-/// then the PR 3 permanent-degrade path.
+/// `restart_backoff`). A chaos workload that kills the worker five times
+/// under `max_restarts = 3` gets three heals and then the permanent-degrade
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RestartPolicy {
-    /// Respawn budget per worker. `0` disables respawn entirely.
+    /// Respawn budget for the worker. `0` disables respawn entirely.
     pub max_restarts: u32,
     /// Delay before each respawn (gives a crashing environment time to
     /// settle; zero by default).

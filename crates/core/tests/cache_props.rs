@@ -1,4 +1,4 @@
-//! Property tests for the voxel-cache invariants that the N-worker
+//! Property tests for the voxel-cache invariants that the parallel
 //! pipeline's correctness rests on:
 //!
 //! 1. τ-eviction is lossless — every accumulated update eventually reaches

@@ -6,7 +6,7 @@
 // Each test binary compiles its own copy and uses a subset of the helpers.
 #![allow(dead_code)]
 
-use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
+use octocache::pipeline::{MappingSystem, OctoMapSystem};
 use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
 use octocache_geom::VoxelGrid;
 use octocache_octomap::{OccupancyOcTree, OccupancyParams};
@@ -73,7 +73,7 @@ pub fn backends() -> Vec<(String, Box<dyn MappingSystem>)> {
 /// need a larger grid than the default scenario one).
 pub fn all_backends(grid: VoxelGrid) -> Vec<(String, Box<dyn MappingSystem>)> {
     let params = OccupancyParams::default();
-    let mut v: Vec<(String, Box<dyn MappingSystem>)> = vec![
+    vec![
         (
             "octomap".to_string(),
             Box::new(OctoMapSystem::new(grid, params)),
@@ -86,18 +86,9 @@ pub fn all_backends(grid: VoxelGrid) -> Vec<(String, Box<dyn MappingSystem>)> {
             "sharded-x8".to_string(),
             Box::new(ShardedOctoMap::new(grid, params, 8)),
         ),
-    ];
-    for n in [1usize, 2, 4, 8] {
-        v.push((
-            format!("parallel-x{n}"),
-            Box::new(ParallelOctoCache::with_workers(
-                grid,
-                params,
-                cache(),
-                RayTracer::Standard,
-                n,
-            )),
-        ));
-    }
-    v
+        (
+            "parallel-x1".to_string(),
+            Box::new(ParallelOctoCache::new(grid, params, cache())),
+        ),
+    ]
 }

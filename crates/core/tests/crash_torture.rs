@@ -92,14 +92,8 @@ fn torture_backends() -> Vec<(String, Box<dyn MappingSystem>)> {
             Box::new(ShardedOctoMap::new(grid(), params, 4)),
         ),
         (
-            "parallel-x2".to_string(),
-            Box::new(ParallelOctoCache::with_workers(
-                grid(),
-                params,
-                cache(),
-                RayTracer::Standard,
-                2,
-            )),
+            "parallel".to_string(),
+            Box::new(ParallelOctoCache::new(grid(), params, cache())),
         ),
     ]
 }

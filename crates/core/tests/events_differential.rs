@@ -1,19 +1,18 @@
 //! Event tracing must be *observationally invisible*: a backend built with
 //! sub-scan event recording on must produce a voxel-for-voxel identical map
-//! to the same backend with recording off — on every backend and every
-//! parallel worker count.
+//! to the same backend with recording off — on every backend.
 //!
 //! Two layers of evidence:
 //!
 //! 1. A scenario differential (seeded synthetic scans, tolerance 0.0)
-//!    across octomap / serial / sharded / parallel N ∈ {1, 2, 4, 8}, which
-//!    also checks the recorded stream is
-//!    non-empty and structurally sane (spans pair up per lane).
+//!    across octomap / serial / sharded / parallel, which also checks the
+//!    recorded stream is non-empty and structurally sane (spans pair up per
+//!    lane).
 //! 2. A proptest at the `VoxelCache` level: under arbitrary interleavings
 //!    of insertions and eviction passes, the eviction stream with events
 //!    attached is bit-identical to the stream without.
 
-use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
+use octocache::pipeline::{MappingSystem, OctoMapSystem};
 use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
 use octocache_geom::{Point3, VoxelGrid};
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
@@ -84,27 +83,18 @@ fn backends(events: bool) -> Vec<(String, Box<dyn MappingSystem>)> {
     if events {
         sharded.enable_events();
     }
-    let mut v: Vec<(String, Box<dyn MappingSystem>)> = vec![
+    vec![
         ("octomap".to_string(), Box::new(octomap)),
         (
             "serial".to_string(),
             Box::new(SerialOctoCache::new(grid(), params, cache(events))),
         ),
         ("sharded-x8".to_string(), Box::new(sharded)),
-    ];
-    for n in [1usize, 2, 4, 8] {
-        v.push((
-            format!("parallel-x{n}"),
-            Box::new(ParallelOctoCache::with_workers(
-                grid(),
-                params,
-                cache(events),
-                RayTracer::Standard,
-                n,
-            )),
-        ));
-    }
-    v
+        (
+            "parallel-x1".to_string(),
+            Box::new(ParallelOctoCache::new(grid(), params, cache(events))),
+        ),
+    ]
 }
 
 /// Replays `scans`, flushes, and returns the tree plus any recorded events.
@@ -179,48 +169,45 @@ fn event_recording_is_invisible_on_every_backend() {
 }
 
 #[test]
-fn parallel_event_stream_covers_every_worker_lane() {
+fn parallel_event_stream_covers_the_worker_lane() {
     let scans = scenario(99);
-    let n = 4usize;
-    let backend: Box<dyn MappingSystem> = Box::new(ParallelOctoCache::with_workers(
+    let backend: Box<dyn MappingSystem> = Box::new(ParallelOctoCache::new(
         grid(),
         OccupancyParams::default(),
         cache(true),
-        RayTracer::Standard,
-        n,
     ));
     let (_, events) = build(backend, &scans);
     let log = events.expect("events enabled");
     assert_eq!(log.dropped, 0);
-    for lane in 1..=n as u32 {
-        let begins = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::BatchBegin)
-            .count();
-        let ends = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
-            .count();
-        assert!(begins >= 1, "lane {lane} recorded no batch spans");
-        assert_eq!(begins, ends, "lane {lane} spans unpaired");
-        // The producer attributes its enqueues to the target lane; every
-        // worker that applied a non-empty batch must show queue traffic.
-        let dequeues = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::QueueDequeue)
-            .count();
-        let applied: u64 = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
-            .map(|e| e.value)
-            .sum();
-        if applied > 0 {
-            assert!(dequeues >= 1, "lane {lane} applied cells without dequeues");
-        }
+    // The worker owns lane 1; lane 0 is the producer.
+    let lane = 1;
+    let begins = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::BatchBegin)
+        .count();
+    let ends = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
+        .count();
+    assert!(begins >= 1, "lane {lane} recorded no batch spans");
+    assert_eq!(begins, ends, "lane {lane} spans unpaired");
+    // The producer attributes its enqueues to the worker's lane; a
+    // worker that applied a non-empty batch must show queue traffic.
+    let dequeues = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::QueueDequeue)
+        .count();
+    let applied: u64 = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
+        .map(|e| e.value)
+        .sum();
+    if applied > 0 {
+        assert!(dequeues >= 1, "lane {lane} applied cells without dequeues");
     }
     // Producer-side cache traffic is on lane 0.
     assert!(log
@@ -230,7 +217,7 @@ fn parallel_event_stream_covers_every_worker_lane() {
     assert!(log
         .events
         .iter()
-        .any(|e| e.kind == EventKind::QueueEnqueue && e.worker >= 1));
+        .any(|e| e.kind == EventKind::QueueEnqueue && e.worker == lane));
 }
 
 /// Ops driving the cache-level invisibility property.

@@ -52,19 +52,20 @@ pub struct ScanRecord {
     /// (parallel backend only; the serial backends have no mutex).
     pub mutex_wait: Duration,
     /// Largest producer-side queue depth seen per worker while enqueueing
-    /// this scan's batch (N-worker parallel backend; empty elsewhere).
+    /// this scan's batch (parallel backend, one entry for its one worker;
+    /// empty elsewhere).
     pub worker_queue_depths: Vec<u64>,
     /// Voxel updates routed to each octant shard this scan (octant-sharded
-    /// and N-worker parallel backends; empty elsewhere).
+    /// backend; empty elsewhere).
     pub shard_batch_sizes: Vec<u64>,
     /// Load skew of `shard_batch_sizes`: busiest shard over the fair share,
     /// `1.0` for a balanced (or empty) batch.
     pub shard_skew: f64,
     /// Per-worker busy time (dequeue + octree update) attributed to this
-    /// scan, in nanoseconds (N-worker parallel backend; empty elsewhere).
+    /// scan, in nanoseconds (parallel backend; empty elsewhere).
     pub worker_busy_ns: Vec<u64>,
     /// Per-worker idle time attributed to this scan, in nanoseconds
-    /// (N-worker parallel backend; empty elsewhere).
+    /// (parallel backend; empty elsewhere).
     pub worker_idle_ns: Vec<u64>,
     /// Worker threads observed dead by panic during this scan (parallel
     /// backend; fault counters are deltas, zero on healthy scans).

@@ -157,14 +157,14 @@ pub struct TraceSummary {
     pub octree_leaf_updates: u64,
     /// Largest SPSC queue depth seen at enqueue.
     pub max_queue_depth: u64,
-    /// Largest per-scan shard skew seen (N-worker parallel traces; 0 when
-    /// the trace carries no shard data).
+    /// Largest per-scan shard skew seen (octant-sharded traces; 0 when the
+    /// trace carries no shard data).
     pub max_shard_skew: f64,
-    /// Per-worker busy nanoseconds summed over the trace (N-worker parallel
-    /// traces; empty elsewhere).
+    /// Per-worker busy nanoseconds summed over the trace (parallel traces;
+    /// empty elsewhere).
     pub worker_busy_ns: Vec<u64>,
-    /// Per-worker idle nanoseconds summed over the trace (N-worker parallel
-    /// traces; empty elsewhere).
+    /// Per-worker idle nanoseconds summed over the trace (parallel traces;
+    /// empty elsewhere).
     pub worker_idle_ns: Vec<u64>,
     /// Total worker panics over the trace.
     pub worker_panics: u64,
@@ -777,7 +777,7 @@ mod tests {
         let recs: Vec<ScanRecord> = (0..4)
             .map(|i| ScanRecord {
                 seq: i,
-                backend: "octocache-parallelx2".to_string(),
+                backend: "two-worker-test".to_string(),
                 worker_busy_ns: vec![100, 50],
                 worker_idle_ns: vec![0, 50],
                 shard_batch_sizes: vec![30, 10],
